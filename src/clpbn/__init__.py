@@ -10,7 +10,6 @@ from .inference import (
     agreement_check,
     agreement_sweep,
     all_marginals,
-    enumerate_joint,
     ground_program,
     marginal,
     sample,
@@ -46,7 +45,6 @@ __all__ = [
     "bic_score",
     "compare_structures",
     "compile_prm",
-    "enumerate_joint",
     "fit_cpts",
     "ground_program",
     "inference",

@@ -95,6 +95,21 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    return parse
+
+
 # --- answer printing (shared by query and repl) --------------------------------
 
 
@@ -308,7 +323,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH_LIMIT,
+        "--depth", type=_int_at_least(1), default=DEFAULT_DEPTH_LIMIT,
         help="derivation depth limit in frames (default 10000)",
     )
 
@@ -342,14 +357,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("query", help="solve a query and print marginals")
     p.add_argument("program")
     p.add_argument("-q", "--query", required=True, help='goal text, e.g. "grade(r2, G)."')
-    p.add_argument("--limit", type=int, default=1, help="answers to produce (default 1)")
+    p.add_argument(
+        "--limit", type=_int_at_least(1), default=1,
+        help="answers to produce (default 1)",
+    )
     _add_common(p)
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("sample", help="draw seeded samples from the ground network as CSV")
     p.add_argument("program")
-    p.add_argument("-n", type=int, required=True, help="number of rows")
+    p.add_argument("-n", type=_int_at_least(0), required=True, help="number of rows")
     p.add_argument("--seed", type=_seed_value, required=True, help="RNG seed (u64)")
     _add_common(p)
     _add_engine_flags(p)
@@ -404,7 +422,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("repl", help="interactive query loop")
     p.add_argument("program")
-    p.add_argument("--limit", type=int, default=1)
+    p.add_argument("--limit", type=_int_at_least(1), default=1)
     _add_common(p)
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_repl)

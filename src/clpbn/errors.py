@@ -77,10 +77,6 @@ class InconsistentEvidenceError(InferenceError):
     """The evidence set has probability zero."""
 
 
-class JointSizeError(InferenceError):
-    """Joint enumeration would exceed the state-count guard."""
-
-
 class GroundingError(ClpbnError):
     pass
 

@@ -1,12 +1,11 @@
 """Exact inference over constraint networks.
 
-Two independent engines answer the same question. `marginal` runs variable
-elimination: the node's conditional tables become factors, evidence is
-clamped by slicing, and non-target variables are summed out one at a time
-in min-degree order. `enumerate_joint` builds the full joint table over
-all non-evidence nodes by brute-force broadcasting, which is only feasible
-for small networks but makes a good cross-check because it shares no
-elimination machinery with the first path.
+`marginal` runs variable elimination for one node: the node's conditional
+tables become factors, evidence is clamped by slicing, and every other
+free variable is summed out in min-degree order. `all_marginals` answers
+every node at once with one two-pass sweep over the bucket tree that the
+same elimination builds, reusing its messages instead of eliminating once
+per node.
 
 The module also houses forward sampling (seeded, reproducible, CSV
 output), whole-program grounding over a population of facts, and the
@@ -17,24 +16,18 @@ ground network.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    GroundingError,
-    InconsistentEvidenceError,
-    InferenceError,
-    JointSizeError,
-)
+from .errors import GroundingError, InconsistentEvidenceError, InferenceError
 from .network import ConstraintNetwork, Node
 from .parser import parse_term, term_to_text
 from .program import Program, parse_program, parse_query
 from .terms import EMPTY_SUBST, FreshVars, Struct, Term, is_ground, term_equal
-
-JOINT_STATE_LIMIT = 2 ** 24
 
 NodeRef = Union[int, str, Term]
 
@@ -162,26 +155,53 @@ def _clamped_factors(net: ConstraintNetwork) -> list[Factor]:
 def _min_degree_order(
     factors: list[Factor], eliminate: set[int], reverse_ties: bool
 ) -> list[int]:
+    """Greedy min-degree elimination order, ties broken by (reversed) id.
+
+    `incident` maps each variable to the live scopes containing it, so a
+    degree is computed from those scopes alone, and only the neighbours of
+    an eliminated variable are re-keyed; a heap with stale entries skipped
+    on pop picks the smallest (degree, tie) key.
+    """
     scopes = [set(f.vars) for f in factors]
-    remaining = set(eliminate)
+    incident: dict[int, set[int]] = {}
+    for sid, s in enumerate(scopes):
+        for v in s:
+            incident.setdefault(v, set()).add(sid)
+
+    def neighbors(v: int) -> set[int]:
+        out: set[int] = set()
+        for sid in incident.get(v, ()):
+            out |= scopes[sid]
+        out.discard(v)
+        return out
+
+    def key(v: int) -> tuple[int, int, int]:
+        return (len(neighbors(v)), -v if reverse_ties else v, v)
+
+    current = {v: key(v) for v in eliminate}
+    heap = list(current.values())
+    heapq.heapify(heap)
     order = []
-    while remaining:
-        best = None
-        for v in remaining:
-            neighbors: set[int] = set()
-            for s in scopes:
-                if v in s:
-                    neighbors |= s
-            neighbors.discard(v)
-            key = (len(neighbors), -v if reverse_ties else v)
-            if best is None or key < best[0]:
-                best = (key, v, neighbors)
-        _, v, neighbors = best
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if current.get(v) != entry:
+            continue
+        del current[v]
         order.append(v)
-        remaining.discard(v)
-        # simulate elimination: merge the scopes containing v
-        scopes = [s for s in scopes if v not in s]
-        scopes.append(neighbors)
+        # simulate elimination: the scopes containing v merge into one
+        merged = neighbors(v)
+        for sid in incident.pop(v, ()):
+            for u in scopes[sid]:
+                if u != v:
+                    incident[u].discard(sid)
+        sid = len(scopes)
+        scopes.append(merged)
+        for u in merged:
+            incident[u].add(sid)
+            if u in current:
+                current[u] = key(u)
+                heapq.heappush(heap, current[u])
     return order
 
 
@@ -268,55 +288,93 @@ def marginal(
 def all_marginals(
     net: ConstraintNetwork, reverse_ties: bool = False
 ) -> list[Marginal]:
-    return [marginal(net, nid, reverse_ties=reverse_ties) for nid in net.node_ids()]
+    """Exact posterior marginal of every node, in `node_ids()` order.
 
-
-# --- brute-force joint --------------------------------------------------------
-
-
-def enumerate_joint(net: ConstraintNetwork) -> Factor:
-    """Normalized joint over all non-evidence nodes, by direct enumeration.
-
-    Deliberately shares nothing with the elimination path: every clamped
-    CPT is broadcast over the full joint shape and multiplied in.
+    One bucket-elimination sweep serves every node. Each clamped factor
+    hangs on the bucket of its earliest-eliminated variable (min-degree
+    order, ties as in `marginal`). The upward pass eliminates bucket by
+    bucket and sends each message to the bucket of the earliest-eliminated
+    variable in its scope, so the buckets form a tree (a forest when the
+    network is disconnected), and the messages reaching the roots multiply
+    to the evidence probability. The downward pass sends each child the
+    product of everything else in its parent's bucket, summed down to the
+    child's separator. That is the Shafer-Shenoy form, which never divides,
+    so tables with zeros are safe. A bucket's belief, summed down to its
+    variable, is that node's marginal.
     """
+    factors = _clamped_factors(net)
     free = [nid for nid in net.node_ids() if net.nodes[nid].evidence is None]
-    states = 1
-    for nid in free:
-        states *= net.nodes[nid].cardinality
-        if states > JOINT_STATE_LIMIT:
-            raise JointSizeError(
-                f"joint would exceed {JOINT_STATE_LIMIT} states"
-            )
-    shape = tuple(net.nodes[nid].cardinality for nid in free)
-    joint = np.ones(shape)
-    allvars = tuple(free)
-    for f in _clamped_factors(net):
-        joint = joint * _expand(f, allvars)
-    z = float(joint.sum())
+    order = _min_degree_order(factors, set(free), reverse_ties)
+    pos = {v: i for i, v in enumerate(order)}
+    z = 1.0
+    own: list[list[Factor]] = [[] for _ in order]
+    for f in factors:
+        if f.vars:
+            own[min(pos[v] for v in f.vars)].append(f)
+        else:
+            z *= float(f.values)
+
+    # upward: inbox[i] holds (child bucket, message) pairs
+    inbox: list[list[tuple[int, Factor]]] = [[] for _ in order]
+    for i, v in enumerate(order):
+        prod = None
+        for f in own[i] + [m for _, m in inbox[i]]:
+            prod = _times(prod, f)
+        msg = prod.sum_out(v)
+        if msg.vars:
+            inbox[min(pos[u] for u in msg.vars)].append((i, msg))
+        else:
+            z *= float(msg.values)
     if z <= 0.0:
         raise InconsistentEvidenceError(
             "the network's evidence has zero probability"
         )
-    return Factor(allvars, joint / z)
+
+    # downward: a parent's message to each child leaves that child's own
+    # upward message out, by prefix and suffix products over the inbox
+    down: list[Optional[Factor]] = [None] * len(order)
+    probs: dict[int, tuple[float, ...]] = {}
+    for i in reversed(range(len(order))):
+        msgs = [m for _, m in inbox[i]]
+        suffix: list[Optional[Factor]] = [None] * (len(msgs) + 1)
+        for j in reversed(range(len(msgs))):
+            suffix[j] = _times(msgs[j], suffix[j + 1])
+        prefix = down[i]
+        for f in own[i]:
+            prefix = _times(f, prefix)
+        for j, (child, msg) in enumerate(inbox[i]):
+            rest = _times(prefix, suffix[j + 1])
+            if rest is not None:
+                down[child] = _sum_to(rest, msg.vars)
+            prefix = _times(prefix, msg)
+        vec = _sum_to(prefix, (order[i],)).values
+        probs[order[i]] = tuple(float(x) for x in vec / vec.sum())
+
+    out = []
+    for nid in net.node_ids():
+        node = net.nodes[nid]
+        if node.evidence is not None:
+            probs[nid] = tuple(
+                1.0 if i == node.evidence else 0.0 for i in range(node.cardinality)
+            )
+        out.append(Marginal(nid, node.label, node.domain, probs[nid]))
+    return out
 
 
-def joint_marginal(joint: Factor, net: ConstraintNetwork, node: NodeRef) -> Marginal:
-    """Read one node's marginal out of an enumerate_joint result."""
-    target = resolve_node(net, node)
-    tnode = net.nodes[target]
-    if tnode.evidence is not None:
-        probs = tuple(
-            1.0 if i == tnode.evidence else 0.0 for i in range(tnode.cardinality)
-        )
-        return Marginal(target, tnode.label, tnode.domain, probs)
-    f = joint
-    for v in joint.vars:
-        if v != target:
+def _times(a: Optional[Factor], b: Optional[Factor]) -> Optional[Factor]:
+    """Factor product where None stands for the empty product."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return _factor_product(a, b)
+
+
+def _sum_to(f: Factor, keep: Sequence[int]) -> Factor:
+    for v in f.vars:
+        if v not in keep:
             f = f.sum_out(v)
-    return Marginal(
-        target, tnode.label, tnode.domain, tuple(float(x) for x in f.values)
-    )
+    return f
 
 
 # --- forward sampling ---------------------------------------------------------

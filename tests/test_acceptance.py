@@ -29,6 +29,7 @@ from clpbn.program import parse_program
 from clpbn.terms import Struct
 
 from netgen import random_net
+from oracles import enumerate_joint, joint_marginal
 from reference_sld import Reference
 from test_logic_corpus import CASES, EMPTY_OK
 
@@ -103,10 +104,10 @@ def test_criterion_2_oracle_equivalence(capsys):
         nodes = 0
         for _ in range(200):
             net = random_net(rng)
-            joint = inference.enumerate_joint(net)
+            joint = enumerate_joint(net)
             for nid in net.node_ids():
                 ve = inference.marginal(net, nid)
-                je = inference.joint_marginal(joint, net, nid)
+                je = joint_marginal(joint, net, nid)
                 worst = max(
                     worst,
                     max(abs(a - b) for a, b in zip(ve.probs, je.probs)),

@@ -150,6 +150,41 @@ def test_seed_must_be_u64(capsys):
     assert run(["sample", "school.clpbn", "-n", "5", "--seed", "-1"]) == 3
 
 
+def test_sample_negative_rows_is_usage_error(capsys):
+    argv = ["sample", "school.clpbn", "-n", "-5", "--seed", "1"] + DRIVER_ARGS
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "argument -n: must be at least 0" in err
+    assert "Traceback" not in err
+
+
+def test_sample_zero_rows_prints_header(capsys):
+    argv = ["sample", "school.clpbn", "-n", "0", "--seed", "1"] + DRIVER_ARGS
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--limit", "--depth"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_query_limit_and_depth_must_be_positive(capsys, flag, value):
+    argv = ["query", "school.clpbn", "-q", "reg(R, C, S), grade(R, G).", flag, value]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 1" in captured.err
+
+
+def test_repl_limit_must_be_positive(capsys):
+    assert run(["repl", "school.clpbn", "--limit", "0"]) == 3
+    assert "argument --limit: must be at least 1" in capsys.readouterr().err
+
+
+def test_integer_flag_rejects_text(capsys):
+    argv = ["query", "school.clpbn", "-q", "grade(r2, G).", "--limit", "two"]
+    assert run(argv) == 3
+    assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
 # --- sample / ground --------------------------------------------------------------
 
 

@@ -3,16 +3,18 @@ import pytest
 
 from clpbn import inference
 from clpbn.engine import Engine
-from clpbn.errors import (
-    GroundingError,
-    InconsistentEvidenceError,
-    JointSizeError,
-)
+from clpbn.errors import GroundingError, InconsistentEvidenceError, InferenceError
 from clpbn.fixtures import SCHOOL_DRIVERS, fixture_text
 from clpbn.network import ConstraintNetwork
 from clpbn.parser import parse_term, term_to_text
 from clpbn.program import parse_program
 from netgen import random_net
+from oracles import (
+    JointSizeError,
+    enumerate_joint,
+    joint_marginal,
+    min_degree_order_rescan,
+)
 
 TOL = 1e-9
 
@@ -59,10 +61,10 @@ def _school_net(school):
 
 def test_ve_matches_joint_on_school(school):
     net = _school_net(school)
-    joint = inference.enumerate_joint(net)
+    joint = enumerate_joint(net)
     for nid in net.node_ids():
         ve = inference.marginal(net, nid)
-        je = inference.joint_marginal(joint, net, nid)
+        je = joint_marginal(joint, net, nid)
         assert ve.probs == pytest.approx(je.probs, abs=TOL)
 
 
@@ -106,7 +108,7 @@ def test_inconsistent_evidence_raises():
     with pytest.raises(InconsistentEvidenceError):
         inference.marginal(net, a)
     with pytest.raises(InconsistentEvidenceError):
-        inference.enumerate_joint(net)
+        enumerate_joint(net)
 
 
 def test_joint_size_guard():
@@ -116,18 +118,159 @@ def test_joint_size_guard():
             parse_term(f"x({i})"), [parse_term("t"), parse_term("f")], [0.5, 0.5]
         )
     with pytest.raises(JointSizeError):
-        inference.enumerate_joint(net)
+        enumerate_joint(net)
 
 
 def test_random_nets_ve_vs_joint():
     rng = np.random.default_rng(2024)
     for _ in range(40):
         net = random_net(rng)
-        joint = inference.enumerate_joint(net)
+        joint = enumerate_joint(net)
         for nid in net.node_ids():
             ve = inference.marginal(net, nid)
-            je = inference.joint_marginal(joint, net, nid)
+            je = joint_marginal(joint, net, nid)
             assert ve.probs == pytest.approx(je.probs, abs=TOL)
+
+
+# --- elimination order -------------------------------------------------------------
+
+
+def _assert_same_orders(net):
+    factors = inference._clamped_factors(net)
+    free = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
+    eliminations = [free] + [free - {nid} for nid in sorted(free)]
+    for eliminate in eliminations:
+        for reverse_ties in (False, True):
+            fast = inference._min_degree_order(factors, eliminate, reverse_ties)
+            slow = min_degree_order_rescan(factors, eliminate, reverse_ties)
+            assert fast == slow
+
+
+def test_min_degree_order_matches_rescan_on_random_nets():
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        _assert_same_orders(random_net(rng))
+
+
+def test_min_degree_order_matches_rescan_on_school(school):
+    _assert_same_orders(_school_net(school))
+
+
+def test_min_degree_order_matches_rescan_on_hmm_answer(hmm_fixed):
+    ans = next(Engine(hmm_fixed).solve_text("caught(30, C)."))
+    assert len(ans.network) > 60
+    _assert_same_orders(ans.network)
+
+
+# --- all marginals in one sweep ---------------------------------------------------
+
+
+def _observe_forward_sample(net, rng, k):
+    """Observe k random nodes at the values of one forward sample, so the
+    evidence has positive probability even where tables hold zeros."""
+    order, rows = inference.sample(net, 1, seed=int(rng.integers(2**32)))
+    value = {nid: int(rows[0, j]) for j, nid in enumerate(order)}
+    for nid in rng.choice(net.node_ids(), size=min(k, len(net)), replace=False):
+        node = net.nodes[int(nid)]
+        net = net.set_evidence(node.id, node.domain[value[node.id]])
+    return net
+
+
+def _assert_matches_per_node(net, reverse_ties=False):
+    got = inference.all_marginals(net, reverse_ties=reverse_ties)
+    assert [m.node_id for m in got] == net.node_ids()
+    for m in got:
+        want = inference.marginal(net, m.node_id, reverse_ties=reverse_ties)
+        assert m.label == want.label and m.domain == want.domain
+        assert m.probs == pytest.approx(want.probs, abs=TOL)
+
+
+def test_all_marginals_vs_joint_on_random_nets():
+    rng = np.random.default_rng(4242)
+    for _ in range(100):
+        net = random_net(rng, max_evidence=0)
+        net = _observe_forward_sample(net, rng, int(rng.integers(0, 3)))
+        joint = enumerate_joint(net)
+        for m in inference.all_marginals(net):
+            je = joint_marginal(joint, net, m.node_id)
+            assert m.probs == pytest.approx(je.probs, abs=TOL)
+
+
+@pytest.mark.parametrize("observed", [0, 1, 3])
+@pytest.mark.parametrize("reverse_ties", [False, True])
+def test_all_marginals_vs_per_node_on_school(school, observed, reverse_ties):
+    net = _observe_forward_sample(
+        _school_net(school), np.random.default_rng(observed), observed
+    )
+    _assert_matches_per_node(net, reverse_ties)
+
+
+def _two_chains():
+    t, f = parse_term("t"), parse_term("f")
+    net = ConstraintNetwork(skolem_functors=[("x", 1), ("y", 1)])
+    net, a = net.add_node(parse_term("x(1)"), [t, f], [0.3, 0.7])
+    net, b = net.add_node(parse_term("x(2)"), [t, f], [0.9, 0.2, 0.1, 0.8], [a])
+    net, c = net.add_node(parse_term("y(1)"), [t, f], [0.6, 0.4])
+    net, d = net.add_node(parse_term("y(2)"), [t, f], [0.5, 0.0, 0.5, 1.0], [c])
+    return net
+
+
+def test_all_marginals_disconnected_components():
+    net = _two_chains()
+    _assert_matches_per_node(net)
+    net = net.set_evidence(3, parse_term("t"))  # y(2)=t forces y(1)=t
+    ms = inference.all_marginals(net)
+    assert ms[2].probs == pytest.approx((1.0, 0.0), abs=TOL)
+    assert ms[3].probs == (1.0, 0.0)
+    _assert_matches_per_node(net)
+
+
+def test_all_marginals_all_evidence():
+    net = _two_chains()
+    for nid, value in [(0, "t"), (1, "f"), (2, "f"), (3, "f")]:
+        net = net.set_evidence(nid, parse_term(value))
+    ms = inference.all_marginals(net)
+    assert [m.probs for m in ms] == [(1.0, 0.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+
+
+def test_all_marginals_empty_network():
+    assert inference.all_marginals(ConstraintNetwork()) == []
+
+
+def test_all_marginals_zero_probability_evidence():
+    net = _two_chains()
+    net = net.set_evidence(2, parse_term("f"))
+    net = net.set_evidence(3, parse_term("t"))  # P(y(2)=t | y(1)=f) = 0
+    with pytest.raises(InconsistentEvidenceError):
+        inference.all_marginals(net)
+    for nid in net.node_ids():
+        with pytest.raises(InconsistentEvidenceError):
+            inference.marginal(net, nid)
+
+
+def test_all_marginals_zero_mass_column():
+    t, f = parse_term("t"), parse_term("f")
+    net = ConstraintNetwork(skolem_functors=[("x", 1)])
+    net, a = net.add_node(parse_term("x(1)"), [t, f], [0.5, 0.5])
+    net, _ = net.add_node(parse_term("x(2)"), [t, f], [0.4, 0.0, 0.6, 0.0], [a])
+    with pytest.raises(InferenceError, match="zero-mass"):
+        inference.all_marginals(net)
+
+
+def test_all_marginals_orders_once(school, monkeypatch):
+    net = _school_net(school)
+    calls = []
+    original = inference._min_degree_order
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "_min_degree_order", counting)
+    inference.all_marginals(net)
+    assert len(calls) == 1
+    inference.all_marginals(_observe_forward_sample(net, np.random.default_rng(5), 2))
+    assert len(calls) == 2
 
 
 # --- sampling ---------------------------------------------------------------------
