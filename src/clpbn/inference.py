@@ -26,7 +26,7 @@ import numpy as np
 from .errors import GroundingError, InconsistentEvidenceError, InferenceError
 from .network import ConstraintNetwork, Node
 from .parser import parse_term, term_to_text
-from .program import Program, parse_program, parse_query
+from .program import Program, parse_query, with_population
 from .terms import EMPTY_SUBST, FreshVars, Struct, Term, is_ground, term_equal
 
 NodeRef = Union[int, str, Term]
@@ -398,19 +398,9 @@ def sample(net: ConstraintNetwork, n: int, seed: int) -> tuple[list[int], np.nda
             out[:, j] = node.evidence
             continue
         d = node.cardinality
-        psizes = net.parent_sizes(node)
-        cols = 1
-        for s in psizes:
-            cols *= s
-        table = np.asarray(node.table, dtype=float).reshape(d, cols)
-        sums = table.sum(axis=0)
-        if np.any(sums <= 0.0):
-            raise InferenceError(
-                f"node {term_to_text(node.label)} has a zero-mass table column"
-            )
-        table = table / sums
+        table = node_factor(net, node).values.reshape(d, -1)
         col = np.zeros(n, dtype=np.int64)
-        for p, size in zip(node.parents, psizes):
+        for p, size in zip(node.parents, net.parent_sizes(node)):
             col = col * size + out[:, col_of[p]]
         cum = np.cumsum(table[:, col], axis=0)  # shape (d, n)
         draws = rng.random(n)
@@ -460,16 +450,6 @@ def _driver_goals(
     return [_parse_driver(d) if isinstance(d, str) else d for d in drivers]
 
 
-def _with_population(program: Program, population: Iterable[Term]) -> Program:
-    facts = list(population)
-    if not facts:
-        return program
-    text = program.to_text() + "\n" + "\n".join(
-        term_to_text(f) + "." for f in facts
-    ) + "\n"
-    return parse_program(text)
-
-
 def ground_program(
     program: Program,
     population: Iterable[Term] = (),
@@ -486,7 +466,7 @@ def ground_program(
     """
     from .engine import DEFAULT_DEPTH_LIMIT, Engine
 
-    prog = _with_population(program, population)
+    prog = with_population(program, population)
     goals = _driver_goals(prog, drivers)
     engine = Engine(prog, depth_limit=depth_limit or DEFAULT_DEPTH_LIMIT)
     net, _ = engine.union_network(goals)
@@ -546,7 +526,7 @@ def agreement_check(
     """
     from .engine import Engine
 
-    prog = _with_population(program, population)
+    prog = with_population(program, population)
     ground = ground_program(prog, drivers=drivers)
     engine = Engine(prog)
     entries = []
@@ -601,7 +581,7 @@ def agreement_sweep(
     """
     from .engine import Engine
 
-    prog = _with_population(program, population)
+    prog = with_population(program, population)
     ground = ground_program(prog, drivers=drivers)
     engine = Engine(prog)
     goals = _driver_goals(prog, drivers)

@@ -12,6 +12,11 @@ one defining clause per random-variable functor, a literal p/3 table,
 body goals that are either facts or calls to other defining clauses.
 Clauses outside the fragment (computed tables, aggregation, arithmetic)
 are left untouched by fitting and ignored by scoring.
+
+The structural grounder runs on the engine's term layer: bindings are
+``terms.Subst`` values built by ``terms.unify``, a called clause is
+renamed apart with ``rename_term`` before its head meets the goal, and
+the population is merged by ``program.with_population``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -32,15 +37,21 @@ from .program import (
     Program,
     cpt_spec_from_term,
     parse_program,
+    with_population,
 )
 from .terms import (
+    EMPTY_SUBST,
     Atom,
+    FreshVars,
     Struct,
+    Subst,
     Term,
     Var,
     is_ground,
     mklist,
-    term_equal,
+    rename_term,
+    unify,
+    vars_of,
 )
 
 
@@ -100,7 +111,7 @@ class _FieldClause:
     clause_index: int
     key: tuple[str, int]
     head: Struct
-    cvar_id: int
+    cvar_pos: int  # head argument position of the constraint variable
     label: Term
     domain: tuple[Term, ...]
     table: tuple[float, ...]
@@ -110,7 +121,7 @@ class _FieldClause:
 
 @dataclass
 class _Analysis:
-    facts: dict[tuple[str, int], list[tuple[Term, ...]]]
+    facts: dict[tuple[str, int], list[Term]]  # ground fact heads
     fields: dict[tuple[str, int], _FieldClause]
     skipped: dict[tuple[str, int], str]  # reason per skipped predicate
 
@@ -123,8 +134,17 @@ def _goal_key(g: Term) -> Optional[tuple[str, int]]:
     return None
 
 
+def _is_braces(g: Term) -> bool:
+    return isinstance(g, Struct) and g.functor == "{}" and g.arity == 1
+
+
+def _entity(t: Struct, cvar_pos: int) -> Struct:
+    """The head or goal t without its constraint-variable argument."""
+    return Struct(t.functor, t.args[:cvar_pos] + t.args[cvar_pos + 1 :])
+
+
 def _analyze(program: Program) -> _Analysis:
-    facts: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
+    facts: dict[tuple[str, int], list[Term]] = {}
     fields: dict[tuple[str, int], _FieldClause] = {}
     skipped: dict[tuple[str, int], str] = {}
     by_key: dict[tuple[str, int], list[tuple[int, Clause]]] = {}
@@ -134,10 +154,7 @@ def _analyze(program: Program) -> _Analysis:
         if all(
             not c.body and is_ground(c.head) for _, c in entries
         ):
-            facts[key] = [
-                tuple(c.head.args) if isinstance(c.head, Struct) else ()
-                for _, c in entries
-            ]
+            facts[key] = [c.head for _, c in entries]
             continue
         with_constraints = [(i, c) for i, c in entries if c.constraints]
         if not with_constraints:
@@ -154,9 +171,15 @@ def _analyze(program: Program) -> _Analysis:
         if not isinstance(c.head, Struct):
             skipped[key] = "atomic head"
             continue
-        if not any(
-            isinstance(a, Var) and a.id == con.var.id for a in c.head.args
-        ):
+        cvar_pos = next(
+            (
+                j
+                for j, a in enumerate(c.head.args)
+                if isinstance(a, Var) and a.id == con.var.id
+            ),
+            None,
+        )
+        if cvar_pos is None:
             skipped[key] = "constraint variable not a head argument"
             continue
         cpt = con.cpt
@@ -171,11 +194,7 @@ def _analyze(program: Program) -> _Analysis:
         if not all(isinstance(p, Var) for p in spec.parents):
             skipped[key] = "non-variable CPT parent"
             continue
-        goals = [
-            g
-            for g in c.body
-            if not (isinstance(g, Struct) and g.functor == "{}" and g.arity == 1)
-        ]
+        goals = [g for g in c.body if not _is_braces(g)]
         if not all(isinstance(g, (Struct, Atom)) for g in goals):
             skipped[key] = "body goal outside the supported fragment"
             continue
@@ -183,45 +202,17 @@ def _analyze(program: Program) -> _Analysis:
             clause_index=i,
             key=key,
             head=c.head,
-            cvar_id=con.var.id,
+            cvar_pos=cvar_pos,
             label=con.skolem,
             domain=spec.domain,
             table=spec.table,
             parent_vars=tuple(spec.parents),
-            body_goals=[g if isinstance(g, Struct) else g for g in goals],
+            body_goals=goals,
         )
     return _Analysis(facts, fields, skipped)
 
 
 # --- structural grounding --------------------------------------------------------
-
-
-def _resolve(t: Term, theta: dict[int, Term]) -> Term:
-    if isinstance(t, Var):
-        v = theta.get(t.id)
-        return t if v is None else v
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(_resolve(a, theta) for a in t.args))
-    return t
-
-
-def _match(pattern: Term, value: Term, theta: dict[int, Term]) -> Optional[dict[int, Term]]:
-    """One-way match of a clause pattern against a ground value."""
-    p = _resolve(pattern, theta)
-    if isinstance(p, Var):
-        out = dict(theta)
-        out[p.id] = value
-        return out
-    if isinstance(p, Struct) and isinstance(value, Struct):
-        if p.functor != value.functor or p.arity != value.arity:
-            return None
-        for a, b in zip(p.args, value.args):
-            nxt = _match(a, b, theta)
-            if nxt is None:
-                return None
-            theta = nxt
-        return theta
-    return theta if term_equal(p, value) else None
 
 
 @dataclass
@@ -230,29 +221,31 @@ class _Instance:
     parents: tuple[Term, ...]  # parent labels, CPT order
 
 
-def _cvar_position(fc: _FieldClause) -> int:
-    return next(
-        j
-        for j, a in enumerate(fc.head.args)
-        if isinstance(a, Var) and a.id == fc.cvar_id
-    )
+def _join(thetas: list[Subst], pattern: Term, values: list[Term]) -> list[Subst]:
+    """Every extension of a substitution in thetas that unifies pattern with
+    one of values (fact heads, or the entity arguments of callee instances)."""
+    return [
+        th
+        for theta in thetas
+        for value in values
+        if (th := unify(pattern, value, theta)) is not None
+    ]
 
 
-def _callee_binding(
-    goal: Struct, callee: _FieldClause
-) -> tuple[dict[int, Term], int]:
-    """Map callee head variables to caller argument terms.
+def _callee_label(
+    goal: Struct, callee: _FieldClause, fresh: FreshVars
+) -> Optional[Term]:
+    """The callee's label in the goal's variables; None if the goal cannot
+    call the callee's head.
 
-    Returns the mapping (callee var id -> caller term) and the goal-argument
-    position holding the callee's constraint variable."""
-    cpos = _cvar_position(callee)
-    binding: dict[int, Term] = {}
-    for j, (carg, garg) in enumerate(zip(callee.head.args, goal.args)):
-        if j == cpos:
-            continue
-        if isinstance(carg, Var):
-            binding[carg.id] = garg
-    return binding, cpos
+    The callee is renamed apart first, as the engine does, so a clause that
+    calls itself with its arguments swapped maps X' to Y and Y' to X instead
+    of binding X and Y to each other."""
+    mapping: dict[int, Var] = {}
+    head = rename_term(callee.head, mapping, fresh)
+    label = rename_term(callee.label, mapping, fresh)
+    s = unify(_entity(head, callee.cvar_pos), _entity(goal, callee.cvar_pos))
+    return None if s is None else s.resolve(label)
 
 
 def structural_instances(
@@ -268,61 +261,57 @@ def structural_instances(
     the nodes their callers rely on. A call with unbound arguments joins
     generatively against the callee instances found so far.
     """
-    prog = program
-    pop = list(population)
-    if pop:
-        text = prog.to_text() + "\n" + "\n".join(
-            term_to_text(f) + "." for f in pop
-        ) + "\n"
-        prog = parse_program(text)
+    prog = with_population(program, population)
     analysis = _analyze(prog)
+    # each call's label pattern in the caller's variables; callees are
+    # renamed apart with ids above every caller variable
+    rules = [(fc, g) for fc in analysis.fields.values() for g in fc.body_goals]
+    top = max(
+        (v.id for fc, g in rules for t in (fc.head, fc.label, g) for v in vars_of(t)),
+        default=-1,
+    )
+    fresh = FreshVars(top + 1)
+    labels = {
+        id(g): _callee_label(g, analysis.fields[_goal_key(g)], fresh)
+        for _, g in rules
+        if _goal_key(g) in analysis.fields
+    }
     insts: dict[tuple[str, int], list[_Instance]] = {
         key: [] for key in analysis.fields
     }
     seen: dict[tuple[str, int], set[str]] = {key: set() for key in analysis.fields}
-    head_tuples: dict[tuple[str, int], list[tuple[Term, ...]]] = {
+    # ground entity arguments of each instance found so far
+    head_tuples: dict[tuple[str, int], list[Term]] = {
         key: [] for key in analysis.fields
     }
-    # text-keyed so repeat demands are cheap; values are the ground args
-    demands: dict[tuple, tuple[tuple[str, int], tuple[Term, ...]]] = {}
+    # text-keyed so repeat demands are cheap; values are the entity arguments
+    demands: dict[tuple, tuple[tuple[str, int], Term]] = {}
 
     changed = True
     while changed:
         changed = False
-        jobs: list[tuple[tuple[str, int], Optional[tuple[Term, ...]]]] = [
+        jobs: list[tuple[tuple[str, int], Optional[Term]]] = [
             (key, None) for key in analysis.fields
         ]
         jobs.extend(demands.values())
-        for key, demanded_args in jobs:
+        for key, demanded in jobs:
             fc = analysis.fields[key]
-            theta0: Optional[dict[int, Term]] = None
-            if demanded_args is not None:
-                theta0 = {}
-                cpos = _cvar_position(fc)
-                positions = [
-                    j for j in range(len(fc.head.args)) if j != cpos
-                ]
-                ok = True
-                for pos, val in zip(positions, demanded_args):
-                    th = _match(fc.head.args[pos], val, theta0)
-                    if th is None:
-                        ok = False
-                        break
-                    theta0 = th
-                if not ok:
-                    continue
+            entity = _entity(fc.head, fc.cvar_pos)
+            theta0 = EMPTY_SUBST if demanded is None else unify(entity, demanded)
+            if theta0 is None:
+                continue
             before = len(demands)
-            for theta, parent_map in _enumerate_clause(
-                fc, analysis, head_tuples, demands, theta0
-            ):
-                label = _resolve(fc.label, theta)
+            thetas, parent_map = _enumerate_clause(
+                fc, analysis, head_tuples, demands, labels, theta0
+            )
+            for theta in thetas:
+                label = theta.resolve(fc.label)
                 if not is_ground(label):
                     continue
                 ltext = term_to_text(label)
                 if ltext in seen[key]:
                     continue
                 parents = []
-                ok = True
                 for pv in fc.parent_vars:
                     pat = parent_map.get(pv.id)
                     if pat is None:
@@ -331,22 +320,12 @@ def structural_instances(
                             f"{pv.display()} is not bound by a defining-"
                             "clause call in the body"
                         )
-                    plabel = _resolve(pat, theta)
-                    if not is_ground(plabel):
-                        ok = False
-                        break
-                    parents.append(plabel)
-                if not ok:
+                    parents.append(theta.resolve(pat))
+                if not all(is_ground(p) for p in parents):
                     continue
                 seen[key].add(ltext)
                 insts[key].append(_Instance(label, tuple(parents)))
-                cpos = _cvar_position(fc)
-                head_tuples[key].append(
-                    tuple(
-                        None if j == cpos else _resolve(a, theta)
-                        for j, a in enumerate(fc.head.args)
-                    )
-                )
+                head_tuples[key].append(theta.resolve(entity))
                 changed = True
             if len(demands) != before:
                 changed = True
@@ -356,67 +335,38 @@ def structural_instances(
 def _enumerate_clause(
     fc: _FieldClause,
     analysis: _Analysis,
-    head_tuples: dict[tuple[str, int], list[tuple[Term, ...]]],
-    demands: dict[tuple, tuple[tuple[str, int], tuple[Term, ...]]],
-    theta0: Optional[dict[int, Term]] = None,
-):
-    """All (theta, parent-var -> parent-label-pattern) pairs for one clause."""
-    thetas: list[tuple[dict[int, Term], dict[int, Term]]] = [
-        (dict(theta0) if theta0 else {}, {})
-    ]
+    head_tuples: dict[tuple[str, int], list[Term]],
+    demands: dict[tuple, tuple[tuple[str, int], Term]],
+    labels: dict[int, Optional[Term]],
+    theta0: Subst,
+) -> tuple[list[Subst], dict[int, Term]]:
+    """Every substitution satisfying the clause body, and the parent map:
+    CPT-parent variable id -> parent label pattern in the clause's variables."""
+    thetas = [theta0]
+    parent_map: dict[int, Term] = {}
     for goal in fc.body_goals:
         gkey = _goal_key(goal)
-        nxt: list[tuple[dict[int, Term], dict[int, Term]]] = []
         if gkey in analysis.facts:
-            for theta, pmap in thetas:
-                for fact in analysis.facts[gkey]:
-                    th = theta
-                    ok = True
-                    for pat, val in zip(goal.args, fact):
-                        th2 = _match(pat, val, th)
-                        if th2 is None:
-                            ok = False
-                            break
-                        th = th2
-                    if ok:
-                        nxt.append((th, pmap))
+            thetas = _join(thetas, goal, analysis.facts[gkey])
         elif gkey in analysis.fields:
             callee = analysis.fields[gkey]
-            binding, cpos = _callee_binding(goal, callee)
-            label_pattern = _resolve(callee.label, binding)
-            for theta, pmap in thetas:
-                out_var = goal.args[cpos]
-                pmap2 = dict(pmap)
-                if isinstance(out_var, Var):
-                    pmap2[out_var.id] = label_pattern
-                resolved = [_resolve(a, theta) for a in goal.args]
-                free = [
-                    j
-                    for j, a in enumerate(resolved)
-                    if j != cpos and not is_ground(a)
-                ]
-                if not free:
-                    args = tuple(
-                        a for j, a in enumerate(resolved) if j != cpos
-                    )
-                    dkey = (gkey, tuple(term_to_text(a) for a in args))
-                    if dkey not in demands:
-                        demands[dkey] = (gkey, args)
-                    nxt.append((theta, pmap2))
-                    continue
-                for tup in head_tuples[gkey]:
-                    th = theta
-                    ok = True
-                    for j, a in enumerate(goal.args):
-                        if j == cpos:
-                            continue
-                        th2 = _match(a, tup[j], th)
-                        if th2 is None:
-                            ok = False
-                            break
-                        th = th2
-                    if ok:
-                        nxt.append((th, pmap2))
+            pattern = labels[id(goal)]
+            if pattern is None:
+                thetas = []
+                continue
+            out_var = goal.args[callee.cvar_pos]
+            if isinstance(out_var, Var):
+                parent_map[out_var.id] = pattern
+            entity = _entity(goal, callee.cvar_pos)
+            nxt: list[Subst] = []
+            for theta in thetas:
+                args = theta.resolve(entity)
+                if is_ground(args):
+                    demands.setdefault((gkey, term_to_text(args)), (gkey, args))
+                    nxt.append(theta)
+                else:
+                    nxt.extend(_join([theta], entity, head_tuples[gkey]))
+            thetas = nxt
         elif gkey in analysis.skipped:
             raise LearnError(
                 f"clause for {fc.key[0]}/{fc.key[1]} calls {gkey[0]}/{gkey[1]}, "
@@ -425,16 +375,23 @@ def _enumerate_clause(
             )
         else:
             # unknown predicate: no tuples, clause grounds to nothing
-            nxt = []
-        thetas = nxt
-    return thetas
+            thetas = []
+    return thetas, parent_map
 
 
 def structural_ground(
     program: Program, population: Iterable[Term] = ()
 ) -> ConstraintNetwork:
     """Ground network read off the clause structure; may contain cycles."""
-    insts, analysis = structural_instances(program, population)
+    return _network(program, *structural_instances(program, population))
+
+
+def _network(
+    program: Program,
+    insts: dict[tuple[str, int], list[_Instance]],
+    analysis: _Analysis,
+) -> ConstraintNetwork:
+    """The network over instances already found by structural_instances."""
     ordered: list[tuple[tuple[str, int], _Instance]] = []
     for key in sorted(insts):
         for inst in sorted(insts[key], key=lambda i: term_to_text(i.label)):
@@ -489,7 +446,7 @@ def _count_tables(
 
     Returns counts, the clause record, and the parent domain sizes."""
     insts, analysis = structural_instances(program, population)
-    net = structural_ground(program, population)
+    net = _network(program, insts, analysis)
     label_to_node = {
         term_to_text(n.label): n for n in net.nodes.values()
     }
@@ -541,39 +498,35 @@ def _count_tables(
 # --- fitting ------------------------------------------------------------------
 
 
-def _rewrite_clause_table(
-    program: Program, fc: _FieldClause, new_table: list[float],
-    new_parents: Optional[list[Var]] = None,
-) -> Program:
-    clause = program.clauses[fc.clause_index]
-    parents = list(fc.parent_vars) if new_parents is None else new_parents
-    new_cpt = Struct(
+def _literal_cpt(
+    fc: _FieldClause, table: Iterable[float], parents: Iterable[Term]
+) -> Struct:
+    return Struct(
         "p",
         (
             mklist(list(fc.domain)),
-            mklist([float(x) for x in new_table]),
+            mklist([float(x) for x in table]),
             mklist(list(parents)),
         ),
     )
-    new_body = []
-    for g in clause.body:
-        if isinstance(g, Struct) and g.functor == "{}" and g.arity == 1:
-            inner = g.args[0]
-            eq = Struct("=", (clause.constraints[0].var, clause.constraints[0].skolem))
-            new_body.append(Struct("{}", (Struct("with", (eq, new_cpt)),)))
-        else:
-            new_body.append(g)
-    new_clause = replace(
-        clause,
-        body=tuple(new_body),
-        constraints=(replace(clause.constraints[0], cpt=new_cpt),),
-    )
+
+
+def _rewrite_tables(program: Program, cpts: dict[int, Struct]) -> Program:
+    """The program with the literal table of clause i replaced by cpts[i],
+    rewritten in one pass over the items and parsed once."""
+    clause_no = {id(c): i for i, c in enumerate(program.clauses)}
     lines = []
     for item in program.items:
-        if isinstance(item, Clause) and item is clause:
-            lines.append(new_clause.to_text())
-        else:
-            lines.append(item.to_text())
+        cpt = cpts.get(clause_no.get(id(item)))
+        if cpt is not None:
+            con = item.constraints[0]
+            eq = Struct("=", (con.var, con.skolem))
+            braces = Struct("{}", (Struct("with", (eq, cpt)),))
+            item = replace(
+                item,
+                body=tuple(braces if _is_braces(g) else g for g in item.body),
+            )
+        lines.append(item.to_text())
     return parse_program("\n".join(lines) + "\n")
 
 
@@ -591,18 +544,13 @@ def fit_cpts(
     """
     if samples is None:
         raise LearnError("fit_cpts needs a sample set")
-    tables = _count_tables(program, population, samples)
-    fitted = program
-    for key in sorted(tables):
-        counts, fc, _psizes = tables[key]
-        d, cols = counts.shape
-        colsums = counts.sum(axis=0)
-        smoothed = (counts + alpha) / (colsums + alpha * d)
-        flat = [float(smoothed[r, j]) for r in range(d) for j in range(cols)]
-        # indexes shift as clauses are reparsed; look the clause up again
-        cur = _analyze(fitted).fields[key]
-        fitted = _rewrite_clause_table(fitted, cur, flat)
-    return fitted
+    # population facts follow the program's clauses, so indexes carry over
+    cpts = {}
+    for counts, fc, _psizes in _count_tables(program, population, samples).values():
+        d = counts.shape[0]
+        smoothed = (counts + alpha) / (counts.sum(axis=0) + alpha * d)
+        cpts[fc.clause_index] = _literal_cpt(fc, smoothed.ravel(), fc.parent_vars)
+    return _rewrite_tables(program, cpts)
 
 
 # --- scoring ------------------------------------------------------------------
@@ -721,11 +669,11 @@ def _delete_parent(
     for j, s in enumerate(psizes):
         if j != position:
             cols *= s
-    flat = [float(x) for x in vals.reshape(d, cols).flatten()]
     new_parents = [
         p for j, p in enumerate(fc.parent_vars) if j != position
     ]
-    return _rewrite_clause_table(program, fc, flat, new_parents)
+    cpt = _literal_cpt(fc, vals.reshape(d, cols).ravel(), new_parents)
+    return _rewrite_tables(program, {fc.clause_index: cpt})
 
 
 def remove_cycles(
@@ -744,12 +692,12 @@ def remove_cycles(
         raise LearnError("remove_cycles needs a sample set")
     current = program
     while True:
-        net = structural_ground(current, population)
+        insts, analysis = structural_instances(current, population)
+        net = _network(current, insts, analysis)
         ok, _cycle = net.check_acyclic()
         if ok:
             return current
         bad = _cycle_edges(net)
-        insts, analysis = structural_instances(current, population)
         label_node = {term_to_text(n.label): n.id for n in net.nodes.values()}
         candidates = []
         for key, fc in analysis.fields.items():

@@ -13,6 +13,8 @@ cycle, evidence conflict).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -106,9 +108,6 @@ class ConstraintNetwork:
         if isinstance(t, Atom):
             return (t.name, 0) in self.skolem_functors or t.name in self.skolem_constants
         return False
-
-    def node_of_var(self, v: Var) -> Optional[int]:
-        return self.binding.get(v.id)
 
     def children(self, node_id: int) -> list[int]:
         return sorted(c.id for c in self.nodes.values() if node_id in c.parents)
@@ -481,10 +480,7 @@ class ConstraintNetwork:
             sizes = [self.nodes[p].cardinality for p in child.parents]
             axis = child.parents.index(node_id)
             d = child.cardinality
-            new_cols: list[list[float]] = []
             # enumerate old columns, keep those whose value on `axis` survives
-            import itertools
-
             keep_set = set(keep)
             remap = {old: new for new, old in enumerate(keep)}
             old_cols = column_count(len(child.table), d)
@@ -536,53 +532,56 @@ class ConstraintNetwork:
 
     # --- structure checks ----------------------------------------------------
 
+    def _child_lists(self) -> dict[int, list[int]]:
+        """Children of every node, each list in node insertion order."""
+        children: dict[int, list[int]] = {nid: [] for nid in self.nodes}
+        for c, node in self.nodes.items():
+            for p in set(node.parents):
+                if p in children:
+                    children[p].append(c)
+        return children
+
     def check_acyclic(self) -> tuple[bool, list[int]]:
         """(True, []) or (False, cycle as a node id sequence)."""
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {nid: WHITE for nid in self.nodes}
-        stack_path: list[int] = []
-
-        def dfs(u: int) -> Optional[list[int]]:
-            color[u] = GRAY
-            stack_path.append(u)
-            for c in self.nodes:
-                if u in self.nodes[c].parents:
-                    if color[c] == GRAY:
-                        i = stack_path.index(c)
-                        return stack_path[i:] + [c]
-                    if color[c] == WHITE:
-                        found = dfs(c)
-                        if found:
-                            return found
-            stack_path.pop()
-            color[u] = BLACK
-            return None
-
-        for nid in sorted(self.nodes):
-            if color[nid] == WHITE:
-                cycle = dfs(nid)
-                if cycle:
-                    return False, cycle
+        children = self._child_lists()
+        for root in sorted(self.nodes):
+            if color[root] != WHITE:
+                continue
+            # explicit DFS stack: the path so far, each with its child iterator
+            color[root] = GRAY
+            path = [root]
+            work = [iter(children[root])]
+            while work:
+                c = next(work[-1], None)
+                if c is None:
+                    color[path.pop()] = BLACK
+                    work.pop()
+                elif color[c] == GRAY:
+                    return False, path[path.index(c):] + [c]
+                elif color[c] == WHITE:
+                    color[c] = GRAY
+                    path.append(c)
+                    work.append(iter(children[c]))
         return True, []
 
     def topological_order(self) -> list[int]:
         """Parents before children; ties broken by node id."""
-        placed: set[int] = set()
+        waiting = {nid: len(set(n.parents)) for nid, n in self.nodes.items()}
+        children = self._child_lists()
+        ready = [nid for nid, k in waiting.items() if k == 0]
+        heapq.heapify(ready)
         order: list[int] = []
-        remaining = set(self.nodes)
-        while remaining:
-            ready = sorted(
-                nid
-                for nid in remaining
-                if all(p in placed for p in self.nodes[nid].parents)
-            )
-            if not ready:
-                ok, cycle = self.check_acyclic()
-                raise NetworkCycleError("network is cyclic", cycle)
-            nid = ready[0]
-            placed.add(nid)
+        while ready:
+            nid = heapq.heappop(ready)
             order.append(nid)
-            remaining.remove(nid)
+            for c in children[nid]:
+                waiting[c] -= 1
+                if waiting[c] == 0:
+                    heapq.heappush(ready, c)
+        if len(order) < len(self.nodes):
+            raise NetworkCycleError("network is cyclic", self.check_acyclic()[1])
         return order
 
     # --- serialization ---------------------------------------------------------

@@ -14,7 +14,7 @@ parent varies slowest. Every column of a well-formed table sums to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import ClpbnSyntaxError, InvalidProgramError, MalformedCptError
@@ -197,9 +197,6 @@ class Program:
 
     # --- structure ----------------------------------------------------
 
-    def clauses_for(self, key: tuple[str, int]) -> list[Clause]:
-        return [self.clauses[i] for i in self.index.get(key, [])]
-
     def is_skolem_functor(self, name: str, arity: int) -> bool:
         if (name, arity) in self.skolem_registry:
             return True
@@ -271,6 +268,16 @@ def parse_program(text: str) -> Program:
     return Program(items)
 
 
+def with_population(program: Program, population: Iterable[Term]) -> Program:
+    """The program with extra ground facts (entity tables) appended."""
+    facts = list(population)
+    if not facts:
+        return program
+    return parse_program(
+        program.to_text() + "\n" + "".join(term_to_text(f) + ".\n" for f in facts)
+    )
+
+
 def parse_query(text: str) -> tuple[list[Term], dict[str, Var]]:
     """Parse a query (a goal conjunction, optional trailing period)."""
     stripped = text.strip()
@@ -301,18 +308,6 @@ class CptSpec:
     domain: tuple[Term, ...]
     table: tuple[float, ...]
     parents: tuple[Term, ...]
-
-    def to_term(self) -> Struct:
-        from .terms import mklist
-
-        return Struct(
-            "p",
-            (
-                mklist(list(self.domain)),
-                mklist([float(x) for x in self.table]),
-                mklist(list(self.parents)),
-            ),
-        )
 
 
 def column_count(table_len: int, domain_size: int) -> int:

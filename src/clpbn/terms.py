@@ -104,7 +104,7 @@ class FreshVars:
 
 
 class Subst:
-    """Immutable variable binding map. ``bind`` returns a new Subst."""
+    """Immutable variable binding map; ``unify`` returns an extended copy."""
 
     __slots__ = ("_m",)
 
@@ -133,30 +133,8 @@ class Subst:
             return Struct(t.functor, tuple(self.resolve(a) for a in t.args))
         return t
 
-    def bind(self, v: Var, t: Term) -> "Subst":
-        m = dict(self._m)
-        m[v.id] = t
-        return Subst(m)
-
-    def bind_many(self, pairs: list[tuple[Var, Term]]) -> "Subst":
-        if not pairs:
-            return self
-        m = dict(self._m)
-        for v, t in pairs:
-            m[v.id] = t
-        return Subst(m)
-
 
 EMPTY_SUBST = Subst()
-
-
-def occurs(vid: int, t: Term, s: Subst) -> bool:
-    t = s.walk(t)
-    if isinstance(t, Var):
-        return t.id == vid
-    if isinstance(t, Struct):
-        return any(occurs(vid, a, s) for a in t.args)
-    return False
 
 
 def unify_trail(t1: Term, t2: Term, s: Subst) -> Optional[tuple[Subst, list[tuple[Var, Term]]]]:

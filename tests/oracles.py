@@ -8,6 +8,10 @@ shares no elimination machinery with `inference.marginal` or
 `min_degree_order_rescan` is the plain min-degree ordering that rescans
 every scope for every remaining variable; the library's incremental
 ordering must return exactly the same order.
+
+`check_acyclic_recursive` and `topological_order_rescan` are the plain
+recursive cycle search and the rescanning topological sort; the network's
+iterative versions must report the same cycle and the same order.
 """
 
 from __future__ import annotations
@@ -101,4 +105,52 @@ def min_degree_order_rescan(
         # simulate elimination: merge the scopes containing v
         scopes = [s for s in scopes if v not in s]
         scopes.append(neighbors)
+    return order
+
+
+def check_acyclic_recursive(net: ConstraintNetwork) -> tuple[bool, list[int]]:
+    """Recursive depth-first search from each node in id order, visiting
+    children in node insertion order; the first back edge closes the cycle."""
+    color = {nid: "white" for nid in net.nodes}
+    path: list[int] = []
+
+    def dfs(u: int):
+        color[u] = "gray"
+        path.append(u)
+        for c in net.nodes:
+            if u in net.nodes[c].parents:
+                if color[c] == "gray":
+                    return path[path.index(c):] + [c]
+                if color[c] == "white":
+                    found = dfs(c)
+                    if found:
+                        return found
+        path.pop()
+        color[u] = "black"
+        return None
+
+    for nid in sorted(net.nodes):
+        if color[nid] == "white":
+            cycle = dfs(nid)
+            if cycle:
+                return False, cycle
+    return True, []
+
+
+def topological_order_rescan(net: ConstraintNetwork):
+    """Smallest ready id first, found by rescanning every remaining node at
+    every step; None when some node never becomes ready."""
+    placed: set[int] = set()
+    order: list[int] = []
+    while len(order) < len(net.nodes):
+        ready = [
+            nid
+            for nid in net.nodes
+            if nid not in placed
+            and all(p in placed for p in net.nodes[nid].parents)
+        ]
+        if not ready:
+            return None
+        placed.add(min(ready))
+        order.append(min(ready))
     return order

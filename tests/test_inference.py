@@ -355,6 +355,16 @@ def test_ground_with_population(school):
     net = inference.ground_program(school, population=pop, drivers=SCHOOL_DRIVERS)
     assert net.find_by_label(parse_term("grade(r4)")) is not None
     assert len(net) == 20  # +grade(r4), +sat(r4)
+    # the same merge as writing the fact at the end of the program
+    merged = parse_program(school.to_text() + "reg(r4, c2, ann).\n")
+    assert net.to_json() == inference.ground_program(
+        merged, drivers=SCHOOL_DRIVERS
+    ).to_json()
+    assert len(inference.ground_program(school, drivers=SCHOOL_DRIVERS)) == 18
+    report = inference.agreement_check(
+        school, "grade(r4, G).", population=pop, drivers=SCHOOL_DRIVERS
+    )
+    assert report["agree"] and report["entries"]
 
 
 # --- agreement --------------------------------------------------------------------

@@ -107,11 +107,22 @@ def test_structural_ground_cyclic(cyclic):
 
 def test_structural_ground_population(school):
     from clpbn.parser import parse_term
+    from clpbn.program import with_population
 
-    net = structural_ground(school, population=[parse_term("reg(r4, c2, ann)")])
-    assert any(
-        term_to_text(n.label) == "grade(r4)" for n in net.nodes.values()
-    )
+    pop = [parse_term("reg(r4, c2, ann)")]
+    net = structural_ground(school, population=pop)
+    labels = {term_to_text(n.label): n for n in net.nodes.values()}
+    r4 = labels["grade(r4)"]
+    assert [term_to_text(net.nodes[p].label) for p in r4.parents] == [
+        "dif(c2)", "i(ann)"
+    ]
+    # the population is merged as if its facts ended the program text, and
+    # the caller's program is left as it was
+    merged = parse_program(school.to_text() + "reg(r4, c2, ann).\n")
+    assert net.to_json() == structural_ground(merged).to_json()
+    assert with_population(school, pop).to_text() == merged.to_text()
+    assert with_population(school, []) is school
+    assert len(structural_ground(school)) == len(net) - 2
 
 
 def test_unknown_predicate_grounds_to_nothing():
@@ -120,6 +131,62 @@ f(X) :- mystery(X), {X = v(1) with p([t,f],[0.5,0.5],[])}.
 """
     insts, _ = structural_instances(parse_program(text))
     assert insts[("f", 1)] == []
+
+
+def test_swapped_self_call_terminates():
+    # the callee is renamed apart before its head meets the goal, so the
+    # recursive call maps X' -> Y and Y' -> X; mapping the clause's own X
+    # and Y onto each other would loop in Subst.walk, or with unify give
+    # the parent r(a, a)
+    prog = parse_program("""
+pair(a, b). pair(b, a).
+r(X, Y, A) :- pair(X, Y), r(Y, X, B),
+  {A = r(X, Y) with p([t, f], [0.6, 0.3, 0.4, 0.7], [B])}.
+""")
+    insts, _ = structural_instances(prog)
+    assert [
+        (term_to_text(i.label), [term_to_text(p) for p in i.parents])
+        for i in insts[("r", 3)]
+    ] == [("r(a, b)", ["r(b, a)"]), ("r(b, a)", ["r(a, b)"])]
+    net = structural_ground(prog)
+    assert [n.parents for n in net.nodes.values()] == [(1,), (0,)]
+    assert net.check_acyclic() == (False, [0, 1, 0])
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_learning_calls_ground_and_parse_once(monkeypatch, school, school_samples):
+    from clpbn import learn, program
+    from clpbn.parser import parse_term
+
+    grounds, parses = [], []
+    _count_calls(monkeypatch, grounds, learn, "structural_instances")
+    _count_calls(monkeypatch, parses, learn, "parse_program")
+    _count_calls(monkeypatch, parses, program, "parse_program")
+    fit_cpts(school, samples=school_samples)
+    assert (len(grounds), len(parses)) == (1, 1)
+    bic_score(school, samples=school_samples)
+    assert (len(grounds), len(parses)) == (2, 1)
+    # a population costs one merge per call, shared by grounding and counting
+    pop = [parse_term("reg(r4, c2, ann)")]
+    samples = SampleSet.from_csv(
+        inference.sample_csv(
+            inference.ground_program(school, pop, drivers=SCHOOL_DRIVERS), 50, 1
+        )
+    )
+    del grounds[:], parses[:]
+    fit_cpts(school, pop, samples)
+    assert (len(grounds), len(parses)) == (1, 2)
+    bic_score(school, pop, samples)
+    assert (len(grounds), len(parses)) == (2, 3)
 
 
 # --- fitting ------------------------------------------------------------------

@@ -99,6 +99,53 @@ def test_cycle_detection_and_order_error():
         net.topological_order()
 
 
+def test_long_chain_acyclic_and_order():
+    # 1,200 links: deeper than Python's default recursion limit
+    net = _net()
+    net, prev = net.add_node(Struct("s", (0,)), [H, L], [0.5, 0.5])
+    for i in range(1, 1200):
+        net, prev = net.add_node(
+            Struct("s", (i,)), [H, L], [0.7, 0.2, 0.3, 0.8], parents=[prev]
+        )
+    assert net.check_acyclic() == (True, [])
+    assert net.topological_order() == list(range(1200))
+    from dataclasses import replace
+
+    net.nodes[0] = replace(net.nodes[0], parents=(prev,), table=(0.5,) * 4)
+    assert net.check_acyclic() == (False, list(range(1200)) + [0])
+    with pytest.raises(NetworkCycleError):
+        net.topological_order()
+
+
+def test_cycle_search_and_order_match_reference_on_random_graphs():
+    import random
+
+    from clpbn.network import Node
+    from oracles import check_acyclic_recursive, topological_order_rescan
+
+    rng = random.Random(5)
+    cyclic = 0
+    for _ in range(600):
+        ids = rng.sample(range(30), rng.randint(0, 10))
+        net = _net()
+        # insertion order differs from id order; parents may repeat, point
+        # at the node itself, or name a node that does not exist
+        for nid in rng.sample(ids, len(ids)):
+            pool = ids + [99]
+            parents = tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
+            net.nodes[nid] = Node(nid, Atom(f"n{nid}"), (H,), (1.0,), parents)
+        expected = check_acyclic_recursive(net)
+        assert net.check_acyclic() == expected
+        cyclic += not expected[0]
+        order = topological_order_rescan(net)
+        if order is None:
+            with pytest.raises(NetworkCycleError):
+                net.topological_order()
+        else:
+            assert net.topological_order() == order
+    assert 100 < cyclic < 500
+
+
 def test_merge_same_label_nodes():
     net = _net()
     v1, v2 = Var(101, "A"), Var(102, "B")
