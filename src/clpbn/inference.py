@@ -27,7 +27,7 @@ from .errors import GroundingError, InconsistentEvidenceError, InferenceError
 from .network import ConstraintNetwork, Node
 from .parser import parse_term, term_to_text
 from .program import Program, parse_query, with_population
-from .terms import EMPTY_SUBST, FreshVars, Struct, Term, is_ground, term_equal
+from .terms import EMPTY_SUBST, FreshVars, Struct, Term, is_ground, mkconj, term_equal
 
 NodeRef = Union[int, str, Term]
 
@@ -414,11 +414,12 @@ def sample_csv(net: ConstraintNetwork, n: int, seed: int) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(term_to_text(net.nodes[nid].label) for nid in order)
-    domains = [net.nodes[nid].domain for nid in order]
-    for i in range(n):
-        writer.writerow(
-            term_to_text(domains[j][rows[i, j]]) for j in range(len(order))
-        )
+    # each domain value is printed once; the sampled indices pick the texts
+    columns = [
+        np.array([term_to_text(v) for v in net.nodes[nid].domain], dtype=object)[rows[:, j]]
+        for j, nid in enumerate(order)
+    ]
+    writer.writerows(zip(*columns) if columns else [()] * n)
     return buf.getvalue()
 
 
@@ -433,21 +434,13 @@ def default_drivers(program: Program) -> list[Term]:
     return goals
 
 
-def _parse_driver(text: str) -> Term:
-    """One driver goal from text; conjunctions stay a single goal term."""
-    goals, _ = parse_query(text)
-    g = goals[-1]
-    for h in reversed(goals[:-1]):
-        g = Struct(",", (h, g))
-    return g
-
-
 def _driver_goals(
     program: Program, drivers: Optional[Sequence[Union[Term, str]]]
 ) -> list[Term]:
     if drivers is None:
         return default_drivers(program)
-    return [_parse_driver(d) if isinstance(d, str) else d for d in drivers]
+    # a conjunction in the text stays one goal term
+    return [mkconj(parse_query(d)[0]) if isinstance(d, str) else d for d in drivers]
 
 
 def ground_program(

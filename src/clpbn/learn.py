@@ -433,10 +433,6 @@ def _network(
 # --- counting -----------------------------------------------------------------
 
 
-def _domain_texts(domain: tuple[Term, ...]) -> list[str]:
-    return [term_to_text(v) for v in domain]
-
-
 def _count_tables(
     program: Program,
     population: Iterable[Term],
@@ -450,6 +446,20 @@ def _count_tables(
     label_to_node = {
         term_to_text(n.label): n for n in net.nodes.values()
     }
+    # one parent column serves many instances: index each column once
+    indexed: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
+
+    def domain_indices(label: str, domain: tuple[Term, ...]) -> np.ndarray:
+        """Domain index of each cell of label's column; -1 outside the domain."""
+        texts = tuple(map(term_to_text, domain))
+        if (label, texts) not in indexed:
+            j = samples.column(label)
+            pos = {t: i for i, t in enumerate(texts)}
+            indexed[label, texts] = np.array(
+                [pos.get(row[j], -1) for row in samples.rows], dtype=np.int64
+            )
+        return indexed[label, texts]
+
     out: dict[tuple[str, int], tuple[np.ndarray, _FieldClause, list[int]]] = {}
     for key, fc in analysis.fields.items():
         if not insts[key]:
@@ -458,39 +468,25 @@ def _count_tables(
         psizes = [
             len(label_to_node[term_to_text(p)].domain) for p in first.parents
         ]
-        cols = 1
-        for s in psizes:
-            cols *= s
-        counts = np.zeros((len(fc.domain), cols))
-        value_index = {t: i for i, t in enumerate(_domain_texts(fc.domain))}
+        counts = np.zeros((len(fc.domain), math.prod(psizes)))
         for inst in insts[key]:
-            ci = samples.column(term_to_text(inst.label))
-            parent_cols = []
-            parent_indexes = []
-            for p in inst.parents:
-                pnode = label_to_node[term_to_text(p)]
-                parent_cols.append(samples.column(term_to_text(p)))
-                parent_indexes.append(
-                    {t: i for i, t in enumerate(_domain_texts(pnode.domain))}
-                )
-            for row in samples.rows:
-                try:
-                    r = value_index[row[ci]]
-                except KeyError:
-                    raise LearnError(
-                        f"value {row[ci]!r} is outside the domain of "
-                        f"{term_to_text(inst.label)}"
-                    ) from None
-                col = 0
-                for pc, pidx, size in zip(parent_cols, parent_indexes, psizes):
-                    try:
-                        col = col * size + pidx[row[pc]]
-                    except KeyError:
-                        raise LearnError(
-                            f"value {row[pc]!r} is outside a parent domain "
-                            f"of {term_to_text(inst.label)}"
-                        ) from None
-                counts[r, col] += 1.0
+            label = term_to_text(inst.label)
+            cells = [(label, domain_indices(label, fc.domain))] + [
+                (p, domain_indices(p, label_to_node[p].domain))
+                for p in map(term_to_text, inst.parents)
+            ]
+            bad = np.any([idx < 0 for _, idx in cells], axis=0)
+            if bad.any():
+                # the first bad row; in it, the child before its parents
+                i = int(bad.argmax())
+                k = next(k for k, (_, idx) in enumerate(cells) if idx[i] < 0)
+                value = samples.rows[i][samples.column(cells[k][0])]
+                where = "the domain" if k == 0 else "a parent domain"
+                raise LearnError(f"value {value!r} is outside {where} of {label}")
+            flat = cells[0][1]  # row-major (value, parent 1, ..., parent k)
+            for (_, idx), size in zip(cells[1:], psizes):
+                flat = flat * size + idx
+            counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
         out[key] = (counts, fc, psizes)
     return out
 

@@ -27,7 +27,7 @@ from typing import Optional, Union
 from .errors import PrmError
 from .parser import term_to_text
 from .program import Program, parse_program
-from .terms import Atom, FreshVars, Struct, Term, Var, mklist, term_equal
+from .terms import Atom, FreshVars, Struct, Term, Var, conj_items, mkconj, mklist, term_equal
 
 AGGREGATORS = ("mean", "mode", "min", "max")
 
@@ -330,13 +330,6 @@ def _chain_literals(
     raise PrmError("unreachable")
 
 
-def _conj(goals: list[Term]) -> Term:
-    g = goals[-1]
-    for h in reversed(goals[:-1]):
-        g = Struct(",", (h, g))
-    return g
-
-
 def compile_field_clause(schema: PrmSchema, table: Table, fname: str) -> Term:
     """The defining clause of one probabilistic field, as a ':-'/2 term."""
     pf = table.probabilistic[fname]
@@ -358,7 +351,7 @@ def compile_field_clause(schema: PrmSchema, table: Table, fname: str) -> Term:
         collected = names.var("Vs")
         cpt_var = names.var("CPT")
         body.append(
-            Struct("findall", (end_var, _conj(literals), collected))
+            Struct("findall", (end_var, mkconj(literals), collected))
         )
         field_cpt = Struct("p", (domain_t, cpt_t, mklist([])))
         body.append(
@@ -391,18 +384,13 @@ def compile_field_clause(schema: PrmSchema, table: Table, fname: str) -> Term:
             (Struct("with", (Struct("=", (value_var, label)), spec)),),
         )
     body.append(constraint)
-    return Struct(":-", (head, _conj(body)))
+    return Struct(":-", (head, mkconj(body)))
 
 
 def _clause_text(clause: Struct) -> str:
     """head :- g1, g2. with one goal per line; nicer than the raw term."""
     head, body = clause.args
-    goals = []
-    g: Term = body
-    while isinstance(g, Struct) and g.functor == "," and g.arity == 2:
-        goals.append(g.args[0])
-        g = g.args[1]
-    goals.append(g)
+    goals = conj_items(body)
     if len(goals) == 1:
         return f"{term_to_text(head)} :- {term_to_text(goals[0])}."
     inner = ",\n  ".join(term_to_text(x) for x in goals)

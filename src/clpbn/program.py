@@ -25,10 +25,12 @@ from .terms import (
     Struct,
     Term,
     Var,
+    conj_items,
     is_ground,
     is_number,
     is_variant,
     list_items,
+    subterms,
     term_equal,
     vars_of,
 )
@@ -108,20 +110,6 @@ class Diagnostic:
             "clause": self.clause_index,
             "line": self.line,
         }
-
-
-def _flatten_conj(t: Term) -> list[Term]:
-    result: list[Term] = []
-
-    def walk(y: Term) -> None:
-        if isinstance(y, Struct) and y.functor == "," and y.arity == 2:
-            walk(y.args[0])
-            walk(y.args[1])
-        else:
-            result.append(y)
-
-    walk(t)
-    return result
 
 
 def _constraint_from_braces(inner: Term, line: int) -> Constraint:
@@ -210,11 +198,7 @@ class Program:
         return False
 
     def has_skolem_subterm(self, t: Term) -> bool:
-        if self.is_skolem_term(t):
-            return True
-        if isinstance(t, Struct):
-            return any(self.has_skolem_subterm(a) for a in t.args)
-        return False
+        return any(self.is_skolem_term(x) for x in subterms(t))
 
     def constraint_defining_predicates(self) -> list[tuple[str, int]]:
         """Predicates with at least one constraint-carrying clause, in order."""
@@ -255,7 +239,7 @@ def parse_program(text: str) -> Program:
             head, body_term = term.args
             goals: list[Term] = []
             constraints: list[Constraint] = []
-            for g in _flatten_conj(body_term):
+            for g in conj_items(body_term):
                 if isinstance(g, Struct) and g.functor == "{}" and g.arity == 1:
                     constraints.append(_constraint_from_braces(g.args[0], line))
                 goals.append(g)
@@ -295,7 +279,7 @@ def parse_query(text: str) -> tuple[list[Term], dict[str, Var]]:
     term, _line, varmap = c
     if reader.peek().kind != "eof":
         raise ClpbnSyntaxError("trailing input after query")
-    return _flatten_conj(term), varmap
+    return conj_items(term), varmap
 
 
 # --- CPT tables --------------------------------------------------------
@@ -336,7 +320,7 @@ def cpt_spec_from_term(t: Term, is_skolem: Callable[[Term], bool]) -> CptSpec:
     for v in d_items:
         if not is_ground(v):
             raise MalformedCptError(f"domain value not ground: {term_to_text(v)}")
-        if _has_skolem_sub(v, is_skolem):
+        if any(is_skolem(x) for x in subterms(v)):
             raise MalformedCptError(f"domain value contains a Skolem term: {term_to_text(v)}")
     for i, v in enumerate(d_items):
         for w in d_items[i + 1 :]:
@@ -360,14 +344,6 @@ def cpt_spec_from_term(t: Term, is_skolem: Callable[[Term], bool]) -> CptSpec:
     if p_items is None:
         raise MalformedCptError("CPT parent list must be a proper list")
     return CptSpec(tuple(d_items), tuple(table), tuple(p_items))
-
-
-def _has_skolem_sub(t: Term, is_skolem: Callable[[Term], bool]) -> bool:
-    if is_skolem(t):
-        return True
-    if isinstance(t, Struct):
-        return any(_has_skolem_sub(a, is_skolem) for a in t.args)
-    return False
 
 
 # --- validator ---------------------------------------------------------

@@ -2,15 +2,23 @@
 
 Terms are variables, constants (atoms), numbers (Python int/float, kept
 distinct), and compound structures. Lists use the usual '.'/2 cons cells
-terminated by the '[]' atom. Substitutions are immutable; ``unify`` runs
-with the occur check, so every substitution it builds is acyclic and
-``resolve`` (full application) is idempotent.
+terminated by the '[]' atom; conjunctions are right-nested ','/2.
+Substitutions are immutable; ``unify`` runs with the occur check, so every
+substitution it builds is acyclic and ``resolve`` (full application) is
+idempotent.
+
+No walk recurses in Python, so a term as deep as a long CPT list is fine.
+Walks are built on three explicit-stack primitives: ``_rebuild`` (resolve,
+rename), ``subterms`` and ``_leaf_pairs`` (equality, variance). Resolving
+or renaming returns unchanged subterms as they are, so ground subterms
+such as CPT lists are shared, not copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from operator import is_
+from typing import Callable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,28 +50,10 @@ class Struct:
 Term = Union[Var, Atom, int, float, Struct]
 
 NIL = Atom("[]")
-TRUE = Atom("true")
 
 
 def is_number(t: Term) -> bool:
     return type(t) in (int, float)
-
-
-def term_equal(a: Term, b: Term) -> bool:
-    """Structural equality; int and float values never equal each other."""
-    if is_number(a) or is_number(b):
-        return type(a) is type(b) and a == b
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return a.name == b.name
-    if isinstance(a, Var) and isinstance(b, Var):
-        return a.id == b.id
-    if isinstance(a, Struct) and isinstance(b, Struct):
-        return (
-            a.functor == b.functor
-            and a.arity == b.arity
-            and all(term_equal(x, y) for x, y in zip(a.args, b.args))
-        )
-    return False
 
 
 def mklist(items: list[Term] | tuple[Term, ...], tail: Term = NIL) -> Term:
@@ -86,6 +76,27 @@ def list_items(t: Term) -> Optional[list[Term]]:
         return None
 
 
+def mkconj(goals: list[Term]) -> Term:
+    """Right-nested ','/2 conjunction of one or more goals."""
+    g = goals[-1]
+    for h in reversed(goals[:-1]):
+        g = Struct(",", (h, g))
+    return g
+
+
+def conj_items(t: Term) -> list[Term]:
+    """The goals of a conjunction, left to right, however its ','/2 nest."""
+    items: list[Term] = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is Struct and x.functor == "," and len(x.args) == 2:
+            stack += reversed(x.args)
+        else:
+            items.append(x)
+    return items
+
+
 class FreshVars:
     """Monotone counter handing out variable (and node) ids."""
 
@@ -103,6 +114,72 @@ class FreshVars:
         return Var(self.next_id(), name)
 
 
+# --- traversal primitives --------------------------------------------------
+
+
+def _rebuild(t: Term, step: Callable[[Var], Term]) -> Term:
+    """t with each variable v replaced by step(v), descending into what step
+    returns. A structure whose arguments are all unchanged is returned as is."""
+    if type(t) is Var:
+        t = step(t)
+    if type(t) is not Struct:
+        return t
+    # one frame per structure being copied: (structure, its args, new args)
+    frames = [(t, t.args, [])]
+    while True:
+        s, args, out = frames[-1]
+        for a in args[len(out) :]:
+            if type(a) is Var:
+                a = step(a)
+            if type(a) is Struct:
+                frames.append((a, a.args, []))
+                break
+            out.append(a)
+        else:
+            frames.pop()
+            new = s if all(map(is_, out, args)) else Struct(s.functor, tuple(out))
+            if not frames:
+                return new
+            frames[-1][2].append(new)
+
+
+def subterms(t: Term, step: Optional[Callable[[Var], Term]] = None) -> Iterator[Term]:
+    """Every subterm of t in pre-order, left to right; with step, each
+    variable v is replaced by step(v) before it is yielded and descended."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if step is not None and type(x) is Var:
+            x = step(x)
+        yield x
+        if type(x) is Struct:
+            stack.extend(reversed(x.args))
+
+
+def _leaf_pairs(a: Term, b: Term) -> Iterator[tuple[Term, Term]]:
+    """Corresponding subterms of a and b in pre-order, left to right, except
+    the pairs of structures with the same functor and arity (descended)."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is type(y) is Struct and x.functor == y.functor and len(x.args) == len(y.args):
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
+        else:
+            yield x, y
+
+
+def _leaf_equal(x: Term, y: Term) -> bool:
+    """Equality of a pair from ``_leaf_pairs`` (structures there differ)."""
+    tx = type(x)
+    if tx is not type(y):
+        return False
+    if tx is Atom:
+        return x.name == y.name
+    if tx is Var:
+        return x.id == y.id
+    return (tx is int or tx is float) and x == y
+
+
 class Subst:
     """Immutable variable binding map; ``unify`` returns an extended copy."""
 
@@ -113,9 +190,6 @@ class Subst:
 
     def __len__(self) -> int:
         return len(self._m)
-
-    def lookup(self, vid: int) -> Optional[Term]:
-        return self._m.get(vid)
 
     def walk(self, t: Term) -> Term:
         """Follow variable bindings shallowly (no descent into structures)."""
@@ -128,10 +202,7 @@ class Subst:
 
     def resolve(self, t: Term) -> Term:
         """Apply the substitution fully. Idempotent for occur-checked substs."""
-        t = self.walk(t)
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(self.resolve(a) for a in t.args))
-        return t
+        return _rebuild(t, self.walk)
 
 
 EMPTY_SUBST = Subst()
@@ -145,63 +216,32 @@ def unify_trail(t1: Term, t2: Term, s: Subst) -> Optional[tuple[Subst, list[tupl
     it to route constrained variables through the network).
     """
     trail: list[tuple[Var, Term]] = []
-    m: Optional[dict[int, Term]] = None  # lazily copied
-
-    def walk(t: Term) -> Term:
-        while isinstance(t, Var):
-            b = m.get(t.id) if m is not None else s.lookup(t.id)
-            if b is None:
-                return t
-            t = b
-        return t
-
-    def occ(vid: int, t: Term) -> bool:
-        t = walk(t)
-        if isinstance(t, Var):
-            return t.id == vid
-        if isinstance(t, Struct):
-            return any(occ(vid, a) for a in t.args)
-        return False
-
-    def bind(v: Var, t: Term) -> None:
-        nonlocal m
-        if m is None:
-            m = dict(s._m)
-        m[v.id] = t
-        trail.append((v, t))
-
+    out = s  # copied before the first binding
+    walk = s.walk
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
         a = walk(a)
         b = walk(b)
-        if isinstance(a, Var):
-            if isinstance(b, Var) and b.id == a.id:
+        if type(b) is Var and type(a) is not Var:
+            a, b = b, a
+        if type(a) is Var:
+            if type(b) is Var and b.id == a.id:
                 continue
-            if occ(a.id, b):
+            # occur check; of the terms a can be bound to, only a structure can hold a
+            occurs = (type(x) is Var and x.id == a.id for x in subterms(b, walk))
+            if type(b) is Struct and any(occurs):
                 return None
-            bind(a, b)
-            continue
-        if isinstance(b, Var):
-            if occ(b.id, a):
-                return None
-            bind(b, a)
-            continue
-        if is_number(a) or is_number(b):
-            if type(a) is type(b) and a == b:
-                continue
-            return None
-        if isinstance(a, Atom) and isinstance(b, Atom):
-            if a.name == b.name:
-                continue
-            return None
-        if isinstance(a, Struct) and isinstance(b, Struct):
-            if a.functor != b.functor or a.arity != b.arity:
-                return None
+            if out is s:
+                out = Subst(dict(s._m))
+                walk = out.walk
+            out._m[a.id] = b
+            trail.append((a, b))
+        elif type(a) is type(b) is Struct and a.functor == b.functor and len(a.args) == len(b.args):
             stack.extend(zip(a.args, b.args))
-            continue
-        return None
-    return (Subst(m) if m is not None else s), trail
+        elif not _leaf_equal(a, b):
+            return None
+    return out, trail
 
 
 def unify(t1: Term, t2: Term, s: Subst = EMPTY_SUBST) -> Optional[Subst]:
@@ -209,67 +249,69 @@ def unify(t1: Term, t2: Term, s: Subst = EMPTY_SUBST) -> Optional[Subst]:
     return r[0] if r is not None else None
 
 
-def vars_of(t: Term) -> Iterator[Var]:
-    """All variable occurrences in t, left to right (may repeat)."""
-    stack = [t]
-    while stack:
-        x = stack.pop(0)
-        if isinstance(x, Var):
-            yield x
-        elif isinstance(x, Struct):
-            stack[0:0] = list(x.args)
+# --- walks -------------------------------------------------------------------
 
 
-def is_ground(t: Term, s: Optional[Subst] = None) -> bool:
-    if s is not None:
-        t = s.resolve(t)
-    return next(vars_of(t), None) is None
-
-
-def rename_term(t: Term, mapping: dict[int, Var], fresh: FreshVars) -> Term:
-    """Copy t with every variable replaced through mapping (extended as needed)."""
-    if isinstance(t, Var):
-        v = mapping.get(t.id)
-        if v is None:
-            v = fresh.new(t.name)
-            mapping[t.id] = v
-        return v
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(rename_term(a, mapping, fresh) for a in t.args))
-    return t
-
-
-def term_sort_key(t: Term) -> tuple:
-    """Total order over ground terms: numbers, then atoms, then structures."""
-    if is_number(t):
-        return (0, float(t), 0 if type(t) is int else 1)
-    if isinstance(t, Atom):
-        return (1, t.name)
-    if isinstance(t, Struct):
-        return (2, t.arity, t.functor, tuple(term_sort_key(a) for a in t.args))
-    if isinstance(t, Var):
-        return (3, t.id)
-    raise TypeError(f"not a term: {t!r}")
+def term_equal(a: Term, b: Term) -> bool:
+    """Structural equality; int and float values never equal each other."""
+    if type(a) is not Struct or type(b) is not Struct:
+        return _leaf_equal(a, b)
+    return all(_leaf_equal(x, y) for x, y in _leaf_pairs(a, b))
 
 
 def is_variant(a: Term, b: Term) -> bool:
     """True if a and b are equal up to a bijective renaming of variables."""
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-
-    def go(x: Term, y: Term) -> bool:
-        if isinstance(x, Var) and isinstance(y, Var):
-            if fwd.setdefault(x.id, y.id) != y.id:
+    for x, y in _leaf_pairs(a, b):
+        if type(x) is Var and type(y) is Var:
+            if fwd.setdefault(x.id, y.id) != y.id or bwd.setdefault(y.id, x.id) != x.id:
                 return False
-            return bwd.setdefault(y.id, x.id) == x.id
-        if isinstance(x, Var) or isinstance(y, Var):
+        elif not _leaf_equal(x, y):
             return False
-        if isinstance(x, Struct) and isinstance(y, Struct):
-            return (
-                x.functor == y.functor
-                and x.arity == y.arity
-                and all(go(p, q) for p, q in zip(x.args, y.args))
-            )
-        return term_equal(x, y)
+    return True
 
-    return go(a, b)
+
+def term_sort_key(t: Term) -> tuple:
+    """Total order over ground terms: numbers, then atoms, then structures.
+
+    Flat pre-order fields per subterm; no term's key is a proper prefix of
+    another's, so this orders like the nested, argument-by-argument key."""
+    key: list = []
+    for x in subterms(t):
+        tx = type(x)
+        if tx is int or tx is float:
+            key += (0, float(x), 0 if tx is int else 1)
+        elif tx is Atom:
+            key += (1, x.name)
+        elif tx is Struct:
+            key += (2, len(x.args), x.functor)
+        elif tx is Var:
+            key += (3, x.id)
+        else:
+            raise TypeError(f"not a term: {x!r}")
+    return tuple(key)
+
+
+def vars_of(t: Term) -> Iterator[Var]:
+    """All variable occurrences in t, left to right (may repeat)."""
+    return (x for x in subterms(t) if type(x) is Var)
+
+
+def is_ground(t: Term) -> bool:
+    for x in subterms(t):
+        if type(x) is Var:
+            return False
+    return True
+
+
+def rename_term(t: Term, mapping: dict[int, Var], fresh: FreshVars) -> Term:
+    """Copy t with every variable replaced through mapping (extended as needed)."""
+
+    def step(v: Var) -> Var:
+        w = mapping.get(v.id)
+        if w is None:
+            w = mapping[v.id] = fresh.new(v.name)
+        return w
+
+    return _rebuild(t, step)

@@ -12,13 +12,24 @@ ordering must return exactly the same order.
 `check_acyclic_recursive` and `topological_order_rescan` are the plain
 recursive cycle search and the rescanning topological sort; the network's
 iterative versions must report the same cycle and the same order.
+
+`count_tables_loop` counts learning tables with one Python step per sample
+row; `learn._count_tables` must give the same counts and, on an
+out-of-domain cell, the same error.
+
+`term_equal_recursive`, `is_variant_recursive`, `term_sort_key_recursive`,
+`resolve_recursive` and `rename_term_recursive` are the plain recursive term
+walks; the explicit-stack versions in `clpbn.terms` must give equal results
+(for the sort key, the same order of every pair of terms).
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from clpbn.errors import InconsistentEvidenceError, InferenceError
+from clpbn.errors import InconsistentEvidenceError, InferenceError, LearnError
 from clpbn.inference import (
     Factor,
     Marginal,
@@ -27,7 +38,11 @@ from clpbn.inference import (
     _expand,
     resolve_node,
 )
+from clpbn.learn import SampleSet, _network, structural_instances
 from clpbn.network import ConstraintNetwork
+from clpbn.parser import term_to_text
+from clpbn.program import Program
+from clpbn.terms import Atom, FreshVars, Struct, Subst, Term, Var, is_number
 
 JOINT_STATE_LIMIT = 2 ** 24
 
@@ -154,3 +169,130 @@ def topological_order_rescan(net: ConstraintNetwork):
         placed.add(min(ready))
         order.append(min(ready))
     return order
+
+
+def term_equal_recursive(a: Term, b: Term) -> bool:
+    if is_number(a) or is_number(b):
+        return type(a) is type(b) and a == b
+    if isinstance(a, Atom) and isinstance(b, Atom):
+        return a.name == b.name
+    if isinstance(a, Var) and isinstance(b, Var):
+        return a.id == b.id
+    if isinstance(a, Struct) and isinstance(b, Struct):
+        return (
+            a.functor == b.functor
+            and a.arity == b.arity
+            and all(term_equal_recursive(x, y) for x, y in zip(a.args, b.args))
+        )
+    return False
+
+
+def resolve_recursive(s: Subst, t: Term) -> Term:
+    t = s.walk(t)
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(resolve_recursive(s, a) for a in t.args))
+    return t
+
+
+def rename_term_recursive(t: Term, mapping: dict[int, Var], fresh: FreshVars) -> Term:
+    if isinstance(t, Var):
+        v = mapping.get(t.id)
+        if v is None:
+            v = fresh.new(t.name)
+            mapping[t.id] = v
+        return v
+    if isinstance(t, Struct):
+        return Struct(
+            t.functor, tuple(rename_term_recursive(a, mapping, fresh) for a in t.args)
+        )
+    return t
+
+
+def term_sort_key_recursive(t: Term) -> tuple:
+    if is_number(t):
+        return (0, float(t), 0 if type(t) is int else 1)
+    if isinstance(t, Atom):
+        return (1, t.name)
+    if isinstance(t, Struct):
+        return (2, t.arity, t.functor, tuple(term_sort_key_recursive(a) for a in t.args))
+    if isinstance(t, Var):
+        return (3, t.id)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def is_variant_recursive(a: Term, b: Term) -> bool:
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+
+    def go(x: Term, y: Term) -> bool:
+        if isinstance(x, Var) and isinstance(y, Var):
+            if fwd.setdefault(x.id, y.id) != y.id:
+                return False
+            return bwd.setdefault(y.id, x.id) == x.id
+        if isinstance(x, Var) or isinstance(y, Var):
+            return False
+        if isinstance(x, Struct) and isinstance(y, Struct):
+            return (
+                x.functor == y.functor
+                and x.arity == y.arity
+                and all(go(p, q) for p, q in zip(x.args, y.args))
+            )
+        return term_equal_recursive(x, y)
+
+    return go(a, b)
+
+
+def count_tables_loop(
+    program: Program,
+    population: Iterable[Term],
+    samples: SampleSet,
+) -> dict[tuple[str, int], tuple[np.ndarray, object, list[int]]]:
+    """Per defining clause: pooled counts, one Python loop step per row."""
+    insts, analysis = structural_instances(program, population)
+    net = _network(program, insts, analysis)
+    label_to_node = {
+        term_to_text(n.label): n for n in net.nodes.values()
+    }
+    out: dict[tuple[str, int], tuple[np.ndarray, object, list[int]]] = {}
+    for key, fc in analysis.fields.items():
+        if not insts[key]:
+            continue
+        first = insts[key][0]
+        psizes = [
+            len(label_to_node[term_to_text(p)].domain) for p in first.parents
+        ]
+        cols = 1
+        for s in psizes:
+            cols *= s
+        counts = np.zeros((len(fc.domain), cols))
+        value_index = {t: i for i, t in enumerate(map(term_to_text, fc.domain))}
+        for inst in insts[key]:
+            ci = samples.column(term_to_text(inst.label))
+            parent_cols = []
+            parent_indexes = []
+            for p in inst.parents:
+                pnode = label_to_node[term_to_text(p)]
+                parent_cols.append(samples.column(term_to_text(p)))
+                parent_indexes.append(
+                    {t: i for i, t in enumerate(map(term_to_text, pnode.domain))}
+                )
+            for row in samples.rows:
+                try:
+                    r = value_index[row[ci]]
+                except KeyError:
+                    raise LearnError(
+                        f"value {row[ci]!r} is outside the domain of "
+                        f"{term_to_text(inst.label)}"
+                    ) from None
+                col = 0
+                for pc, pidx, size in zip(parent_cols, parent_indexes, psizes):
+                    try:
+                        col = col * size + pidx[row[pc]]
+                    except KeyError:
+                        raise LearnError(
+                            f"value {row[pc]!r} is outside a parent domain "
+                            f"of {term_to_text(inst.label)}"
+                        ) from None
+                counts[r, col] += 1.0
+        out[key] = (counts, fc, psizes)
+    return out

@@ -1,12 +1,17 @@
+import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import clpbn
 from clpbn import cli, inference
@@ -290,6 +295,139 @@ def test_agree_impossible_tolerance_exits_1(capsys):
     assert run(argv) == 1
     out = capsys.readouterr().out
     assert out.strip().split("\n")[-1] == "disagree"
+
+
+# --- large terms and the exit-code contract ------------------------------------
+
+
+def _main_captured(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _wide_program(child_domain, parent_domains, table=None):
+    """Roots y0, y1, ... with uniform tables and a child x over all of them;
+    x's table defaults to uniform columns."""
+    lines = []
+    for i, d in enumerate(parent_domains):
+        values = ", ".join(f"v{j}" for j in range(d))
+        probs = ", ".join([repr(1.0 / d)] * d)
+        lines.append(f"y{i}(Y) :- {{Y = y{i} with p([{values}], [{probs}], [])}}.")
+    cols = math.prod(parent_domains)
+    if table is None:
+        table = [1.0 / child_domain] * (child_domain * cols)
+    calls = "".join(f"y{i}(Y{i}), " for i in range(len(parent_domains)))
+    parents = ", ".join(f"Y{i}" for i in range(len(parent_domains)))
+    values = ", ".join(f"x{j}" for j in range(child_domain))
+    entries = ", ".join(repr(x) for x in table)
+    lines.append(
+        f"x(X) :- {calls}{{X = x with p([{values}], [{entries}], [{parents}])}}."
+    )
+    return "\n".join(lines) + "\n"
+
+
+def test_700_value_table_answers_under_every_command(tmp_path):
+    # a 700-value root and a 1,400-entry child table: one CPT list deeper
+    # than Python's default recursion limit
+    prog = tmp_path / "wide.clpbn"
+    prog.write_text(_wide_program(2, [700]))
+    code, csv_text, err = _main_captured(
+        ["sample", str(prog), "-n", "200", "--seed", "3"]
+    )
+    assert (code, err) == (0, "")
+    samples = tmp_path / "wide.csv"
+    samples.write_text(csv_text)
+    for argv in (
+        ["query", str(prog), "-q", "x(X), y0(v699)."],
+        ["ground", str(prog)],
+        ["agree", str(prog)],
+        ["fit", str(prog), "--samples", str(samples)],
+        ["score", str(prog), "--samples", str(samples)],
+    ):
+        code, out, err = _main_captured(argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+    code, out, _ = _main_captured(["query", str(prog), "-q", "y0(Y)."])
+    assert code == 0 and "v699" in out
+
+
+@st.composite
+def _large_input(draw):
+    """A program with a wide table, a long list or a long t/2 chain, and one
+    command line to run on it."""
+    kind = draw(st.sampled_from(["wide", "list", "chain"]))
+    if kind == "wide":
+        child = draw(st.integers(2, 4))
+        parents = draw(
+            st.one_of(
+                st.lists(st.integers(2, 15), max_size=3),
+                st.integers(16, 750).map(lambda d: [d]),
+            )
+        )
+        while child * math.prod(parents) > 3000:
+            parents.pop()
+        size = child * math.prod(parents)
+        table = draw(
+            st.one_of(
+                st.none(),
+                st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), min_size=size,
+                         max_size=size),
+                st.just([0.5] * (size - 1)),
+            )
+        )
+        text = _wide_program(child, parents, table)
+        argv = draw(
+            st.sampled_from(
+                [["check"], ["query", "-q", "x(X)."], ["ground"],
+                 ["sample", "-n", "5", "--seed", "1"], ["agree"]]
+            )
+        )
+    elif kind == "list":
+        n = draw(st.integers(1, 5000))
+        text = "items([" + ", ".join(f"e{i}" for i in range(n)) + "]).\n"
+        text += "items([" + ", ".join(str(i / 4) for i in range(n)) + "|T]).\n"
+        argv = draw(
+            st.sampled_from(
+                [["check"], ["query", "-q", "items(L)."],
+                 ["query", "-q", "items([e0|T]).", "--limit", "2"]]
+            )
+        )
+    else:
+        text = (
+            "t(0, X) :- !, {X = t(0) with p([a, b], [0.5, 0.5], [])}.\n"
+            "t(I, X) :- I1 is I - 1, t(I1, Y),\n"
+            "    {X = t(I) with p([a, b], [0.6, 0.3, 0.4, 0.7], [Y])}.\n"
+        )
+        command = draw(st.sampled_from(["query", "ground", "sample", "agree"]))
+        # agree runs variable elimination for every (evidence node, value,
+        # query node) triple, cubic in the chain length: keep it short
+        n = draw(st.integers(1, 12 if command == "agree" else 400))
+        goal = f"t({n}, X)"
+        argv = {
+            "query": ["query", "-q", goal + "."],
+            "ground": ["ground", "--driver", goal],
+            "sample": ["sample", "-n", "3", "--seed", "2", "--driver", goal],
+            "agree": ["agree", "--driver", goal],
+        }[command]
+        if command != "agree" and draw(st.booleans()):
+            argv = argv + ["--depth", str(draw(st.integers(1, 2 * n + 2)))]
+    return text, argv
+
+
+@settings(max_examples=15, deadline=None)
+@given(_large_input())
+def test_large_inputs_keep_the_exit_code_contract(case):
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        prog = os.path.join(tmp, "p.clpbn")
+        with open(prog, "w") as f:
+            f.write(text)
+        code, _, err = _main_captured([argv[0], prog] + argv[1:])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 # --- repl ---------------------------------------------------------------------

@@ -189,6 +189,61 @@ def test_learning_calls_ground_and_parse_once(monkeypatch, school, school_sample
     assert (len(grounds), len(parses)) == (2, 3)
 
 
+def test_count_tables_match_loop(school, school_samples):
+    import random
+
+    from oracles import count_tables_loop
+
+    from clpbn.learn import _count_tables
+
+    def outcome(count, program, samples):
+        try:
+            out = count(program, (), samples)
+        except LearnError as e:
+            return str(e)
+        return {k: (c.tolist(), ps) for k, (c, _, ps) in out.items()}
+
+    # x's clause comes first, so a bad y cell is met as a parent cell first
+    child_first = parse_program(
+        "x(X) :- y(Y), {X = x with p([a, b], [0.6, 0.3, 0.4, 0.7], [Y])}.\n"
+        "y(Y) :- {Y = y with p([u, v], [0.5, 0.5], [])}.\n"
+    )
+    child_first_samples = SampleSet.from_csv(
+        inference.sample_csv(inference.ground_program(child_first), 300, 2)
+    )
+    rng = random.Random(11)
+    errors = 0
+    for program, samples in (
+        (school, school_samples),
+        (child_first, child_first_samples),
+    ):
+        assert outcome(_count_tables, program, samples) == outcome(
+            count_tables_loop, program, samples
+        )
+        for _ in range(25):
+            rows = [list(r) for r in samples.rows[:300]]
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(rows))
+                rows[i][rng.randrange(len(rows[i]))] = f"zz{rng.randint(0, 9)}"
+            bad = SampleSet(list(samples.columns), rows)
+            expected = outcome(count_tables_loop, program, bad)
+            errors += isinstance(expected, str)
+            assert outcome(_count_tables, program, bad) == expected
+        missing = SampleSet(samples.columns[1:], [r[1:] for r in samples.rows[:5]])
+        assert outcome(_count_tables, program, missing) == outcome(
+            count_tables_loop, program, missing
+        )
+    assert errors >= 30
+    # the first bad row decides; in it, the child is checked before its parent
+    for rows, expected in (
+        ([["a", "u"], ["b", "w"], ["c", "v"]], "value 'w' is outside a parent domain of x"),
+        ([["a", "u"], ["c", "w"], ["d", "v"]], "value 'c' is outside the domain of x"),
+    ):
+        samples = SampleSet(["x", "y"], rows)
+        assert outcome(_count_tables, child_first, samples) == expected
+        assert outcome(count_tables_loop, child_first, samples) == expected
+
+
 # --- fitting ------------------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from clpbn.terms import (
     EMPTY_SUBST,
     Atom,
     FreshVars,
     Struct,
+    Subst,
     Var,
     is_ground,
     is_variant,
@@ -157,3 +158,137 @@ def test_resolve_after_self_unify_is_fixpoint(t):
     s = unify(t, t, EMPTY_SUBST)
     r = s.resolve(t)
     assert term_equal(r, s.resolve(r))
+
+
+# --- the explicit-stack walkers against the recursive references ---------------
+
+_mixed_numbers = st.sampled_from([0, 1, 1.0, -2, -2.0, 0.5])
+_any_var = st.integers(min_value=1, max_value=6).map(lambda i: Var(i, f"V{i}"))
+
+_mixed_terms = st.recursive(
+    st.one_of(_atoms, _any_var, _mixed_numbers),
+    lambda inner: st.builds(
+        lambda functor, args: Struct(functor, tuple(args)),
+        st.sampled_from(["f", "g", "."]),
+        st.lists(inner, min_size=1, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _chained_subst(draw):
+    """Bindings for some of V1..V6, each to a term over higher-numbered
+    variables only, so walks follow chains but never cycle."""
+    m = {}
+    for i in range(1, 7):
+        if draw(st.booleans()):
+            t = draw(_mixed_terms)
+            t = rename_term(
+                t, {v.id: Var(v.id + i, f"V{v.id + i}") for v in vars_of(t)}, FreshVars()
+            )
+            m[i] = t
+    return Subst(m)
+
+
+@given(_mixed_terms, _mixed_terms)
+@example(1, 1.0)
+@example(f(X, 1), f(Y, 1.0))
+def test_equal_and_variant_match_recursive(a, b):
+    from oracles import is_variant_recursive, term_equal_recursive
+
+    assert term_equal(a, b) == term_equal_recursive(a, b)
+    assert is_variant(a, b) == is_variant_recursive(a, b)
+    renamed = rename_term(a, {}, FreshVars(100))
+    assert is_variant(a, renamed) and is_variant_recursive(a, renamed)
+
+
+@given(_mixed_terms, _mixed_terms)
+@example(1, 1.0)
+@example(f(Atom("a"), -2.0), f(Atom("a"), -2))
+def test_sort_key_orders_pairs_like_recursive(a, b):
+    from oracles import term_sort_key_recursive
+
+    ka, kb = term_sort_key(a), term_sort_key(b)
+    ra, rb = term_sort_key_recursive(a), term_sort_key_recursive(b)
+    assert (ka < kb, ka == kb) == (ra < rb, ra == rb)
+
+
+@given(_mixed_terms, _chained_subst())
+def test_resolve_and_rename_match_recursive(t, s):
+    from oracles import rename_term_recursive, resolve_recursive
+
+    assert term_equal(s.resolve(t), resolve_recursive(s, t))
+    m1, m2 = {}, {}
+    r1 = rename_term(t, m1, FreshVars(50))
+    r2 = rename_term_recursive(t, m2, FreshVars(50))
+    assert term_equal(r1, r2)
+    assert {k: v.id for k, v in m1.items()} == {k: v.id for k, v in m2.items()}
+
+
+def test_ground_subterms_are_shared_not_copied():
+    table = mklist([0.5, 0.5, 0.25, 0.75])
+    cpt = Struct("p", (mklist([Atom("t"), Atom("f")]), table, mklist([X])))
+    assert rename_term(cpt.args[1], {}, FreshVars()) is table
+    assert rename_term(Atom("a"), {}, FreshVars()) == Atom("a")
+    renamed = rename_term(cpt, {}, FreshVars(10))
+    assert renamed is not cpt
+    assert renamed.args[0] is cpt.args[0] and renamed.args[1] is table
+    s = unify(X, Atom("a"))
+    assert s.resolve(table) is table
+    resolved = s.resolve(cpt)
+    assert resolved.args[1] is table and term_equal(resolved.args[2], mklist([Atom("a")]))
+
+
+def test_walkers_handle_long_lists_without_recursion():
+    import sys
+
+    from clpbn.parser import term_to_text
+    from clpbn.program import Program, cpt_spec_from_term
+    from clpbn.terms import conj_items, mkconj, subterms
+
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    items = [
+        Var(i, f"V{i}") if i % 7 == 0 else (i if i % 2 else float(i)) for i in range(1, n + 1)
+    ]
+    lst = mklist(items)
+    ground = mklist([Atom("a") if isinstance(x, Var) else x for x in items])
+    s = unify(lst, ground)
+    assert s is not None and len(s) == n // 7
+    assert is_ground(s.resolve(lst)) and not is_ground(lst)
+    renamed = rename_term(lst, {}, FreshVars(n + 1))
+    assert is_variant(lst, renamed) and not term_equal(lst, renamed)
+    assert term_equal(lst, rename_term(lst, {v.id: v for v in vars_of(lst)}, FreshVars()))
+    assert len(term_sort_key(lst)) > n
+    assert sum(1 for _ in subterms(lst)) == 2 * n + 1
+    # the occur check walks the whole list before it meets X
+    assert unify(X, Struct("f", (lst, X))) is None
+    assert list_items(s.resolve(lst))[-1] == n
+    assert Program([]).has_skolem_subterm(lst) is False
+    table = mklist([2.0 / n] * n)
+    spec = cpt_spec_from_term(
+        Struct("p", (mklist([Atom("t"), ground]), table, mklist([]))),
+        lambda t: False,
+    )
+    assert len(spec.table) == n
+    goals = [Struct("g", (i,)) for i in range(n)]
+    assert conj_items(mkconj(goals)) == goals
+    assert term_to_text(lst).count(",") == n - 1
+
+
+def test_terms_module_has_no_recursive_function():
+    import ast
+    import inspect
+
+    import clpbn.terms
+
+    tree = ast.parse(inspect.getsource(clpbn.terms))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {
+                c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
+                for c in ast.walk(fn)
+                if isinstance(c, ast.Call)
+            }
+            assert fn.name not in called, fn.name
