@@ -1,23 +1,32 @@
 """SLD resolution with a growing constraint network.
 
-The machine is an explicit-stack depth-first interpreter: a state is a
-cons-list of pending entries, a substitution, a network, and the current
-derivation depth. Clause choice pushes an alternatives frame; cut
-truncates the alternatives stack back to the height recorded when the
-calling goal was selected. Bindings that touch constrained variables are
-routed into the network after every unification: variable-variable
-bindings merge or retarget nodes, ground bindings become evidence.
+The machine is an explicit-stack depth-first interpreter over one set of
+bindings (a ``Subst``) and one constraint store, both changed in place
+and both logged on one undo trail. Its state is a cons-list of pending
+goal entries; each entry carries its goal's recursion depth, which the
+depth limit bounds. Clause choice pushes an alternatives frame holding a
+trail mark; backtracking undoes the trail to that mark, reverting
+bindings and store together, as in a WAM. Cut truncates the alternatives
+stack back to the height recorded when the calling goal was selected.
+Bindings that touch constrained variables are routed into the network
+after every unification: variable-variable bindings merge or retarget
+nodes, ground bindings become evidence.
 
-findall/setof run the sub-goal in a nested machine sharing the id
-counter, then union the solution networks into the caller's store,
-deduplicating nodes by ground label.
+Clauses are precompiled once per engine: each keeps a code that builds
+a renamed copy while sharing its ground subterms unwalked, and the
+parsed domain and table of each CPT whose lists are ground.
+
+findall/setof run the sub-goal in a nested machine on the same bindings
+and store, snapshot each solution before backtracking, then union the
+solution networks into the caller's store, deduplicating nodes by ground
+label.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .errors import (
@@ -32,15 +41,24 @@ from .errors import (
 )
 from .network import MERGE_TOLERANCE, ConstraintNetwork
 from .parser import term_to_text
-from .program import Program, cpt_spec_from_term, parse_query
+from .program import (
+    Clause,
+    CptSpec,
+    Program,
+    cpt_domain_table,
+    cpt_parents,
+    cpt_spec_from_term,
+    parse_query,
+)
 from .terms import (
-    EMPTY_SUBST,
     Atom,
     FreshVars,
     Struct,
     Subst,
     Term,
     Var,
+    compile_terms,
+    instantiate,
     is_ground,
     is_number,
     list_items,
@@ -49,7 +67,6 @@ from .terms import (
     term_equal,
     term_sort_key,
     unify,
-    unify_trail,
     vars_of,
 )
 
@@ -76,7 +93,6 @@ class Answer:
     bindings: dict[str, Term]
     network: ConstraintNetwork
     query_nodes: dict[str, int]  # query variables that ended up constrained
-    subst: Subst = field(repr=False, default=EMPTY_SUBST)
 
     def binding_text(self) -> dict[str, str]:
         return {name: term_to_text(t) for name, t in self.bindings.items()}
@@ -87,6 +103,60 @@ def _cons(entries: list, rest=None):
     for e in reversed(entries):
         out = (e, out)
     return out
+
+
+# A goal list is a cons-list of entries, None when empty; _FAIL is failure.
+# Entries are ("goal", term, cut barrier, depth, precompiled CPT or None)
+# and ("evidence", variable, value).
+_FAIL = False
+
+
+def _goal(term: Term, depth: int = 0, barrier: int = 0) -> tuple:
+    return ("goal", term, barrier, depth, None)
+
+
+class _Compiled:
+    """A clause precompiled for resolution (see ``terms.compile_terms``).
+
+    Fresh variables are drawn in the order renaming would draw them: the
+    head's on every try, the body's only once the head has unified."""
+
+    __slots__ = ("head", "body", "head_names", "body_names", "shared")
+
+    def __init__(self, clause: Clause, is_skolem) -> None:
+        codes, names, shared = compile_terms([clause.head, *clause.body])
+        n_head = len({v.id for v in vars_of(clause.head)})
+        self.head = codes[0]
+        # (goal code, precompiled CPT), last goal first for consing
+        self.body = [
+            (code, _ground_cpt(g, is_skolem)) for code, g in zip(codes[1:], clause.body)
+        ][::-1]
+        self.head_names = names[:n_head]
+        self.body_names = names[n_head:]
+        self.shared = shared[::-1]  # fill order: see terms.instantiate
+
+
+def _ground_cpt(goal: Term, is_skolem) -> Optional[tuple]:
+    """(domain, table) of a constraint goal whose CPT lists are ground and
+    well formed; None otherwise, leaving every check to posting time."""
+    if not (
+        isinstance(goal, Struct)
+        and goal.functor == "{}"
+        and goal.arity == 1
+        and isinstance(goal.args[0], Struct)
+        and goal.args[0].functor == "with"
+        and goal.args[0].arity == 2
+    ):
+        return None
+    cpt = goal.args[0].args[1]
+    if not (isinstance(cpt, Struct) and cpt.functor == "p" and cpt.arity == 3):
+        return None
+    if not (is_ground(cpt.args[0]) and is_ground(cpt.args[1])):
+        return None
+    try:
+        return cpt_domain_table(cpt.args[0], cpt.args[1], is_skolem)
+    except MalformedCptError:
+        return None
 
 
 class Engine:
@@ -102,6 +172,7 @@ class Engine:
         for label, value in program.evidence:
             if is_ground(label):
                 self.declared_evidence[term_to_text(label)] = value
+        self._clauses: dict[tuple[str, int], list[_Compiled]] = {}  # filled on first call
         # Head argument positions that hold a constraint variable in some
         # clause: a ground query argument there is evidence, not a filter.
         self._evidence_positions: dict[tuple[str, int], set[int]] = {}
@@ -131,27 +202,19 @@ class Engine:
         entries: list = []
         for g in renamed:
             g2, ev = self._extract_evidence(g)
-            entries.append(("goal", g2, 0))
+            entries.append(_goal(g2))
             for ev_var, value in ev:
                 entries.append(("evidence", ev_var, value))
-        init = _cons(entries)
-        net0 = self.base_network()
-        s0 = EMPTY_SUBST
+        s, n = self._start()
         if self.program.evidence:
             # Declared evidence conditions every query, so the observed
             # nodes must be in the network before the query runs. Derive
             # them once, committing to the first derivation.
-            pre_entries = [
-                ("goal", g, 0) for g in self._evidence_derivation_goals()
-            ]
-            pre = next(
-                self._solutions(_cons(pre_entries), EMPTY_SUBST, net0, 0), None
-            )
-            if pre is None:
+            pre_entries = [_goal(g) for g in self._evidence_derivation_goals()]
+            if not next(self._solutions(_cons(pre_entries), s, n), False):
                 return
-            s0, net0 = pre
         count = 0
-        for s, n in self._solutions(init, s0, net0, 0):
+        for _ in self._solutions(_cons(entries), s, n):
             frozen = n.apply_substitution(s)
             if frozen is None:
                 continue
@@ -166,10 +229,17 @@ class Engine:
                     nid = frozen.binding.get(w.id)
                     if nid is not None and nid in frozen.nodes:
                         query_nodes[name] = nid
-            yield Answer(bindings, frozen, query_nodes, s)
+            yield Answer(bindings, frozen, query_nodes)
             count += 1
             if limit is not None and count >= limit:
                 return
+
+    def _start(self) -> tuple[Subst, ConstraintNetwork]:
+        """Empty bindings and an empty store that log to one trail."""
+        s = Subst()
+        n = self.base_network()
+        n.trail = s.trail
+        return s, n
 
     def base_network(self) -> ConstraintNetwork:
         return ConstraintNetwork(
@@ -205,8 +275,8 @@ class Engine:
                 mapping: dict[int, Var] = {}
                 head2 = rename_term(clause.head, mapping, self.ids)
                 sk2 = rename_term(sk, mapping, self.ids)
-                s = unify(sk2, label, EMPTY_SUBST)
-                if s is None:
+                s = Subst()
+                if not unify(sk2, label, s):
                     continue
                 candidate = s.resolve(head2)
                 # Callable only if the label pins down everything except the
@@ -230,20 +300,17 @@ class Engine:
         return goals
 
     def union_network(
-        self,
-        driver_goals: list[Term],
-        start: Optional[ConstraintNetwork] = None,
+        self, driver_goals: list[Term]
     ) -> tuple[ConstraintNetwork, list[Term]]:
         """Union the networks of every solution of every driver goal,
         deduplicating nodes by ground label. Returns the combined network
         and the resolved driver-goal instances (one per solution)."""
-        net = start if start is not None else self.base_network()
+        s, net = self._start()
         instances: list[Term] = []
         for g in driver_goals:
-            mapping: dict[int, Var] = {}
-            g2 = rename_term(g, mapping, self.ids)
-            net, items = self._collect(g2, g2, EMPTY_SUBST, net, 0)
-            instances.extend(items)
+            g2 = rename_term(g, {}, self.ids)
+            instances.extend(self._collect(g2, g2, 0, s, net))
+        net.trail = []  # the derivations' undo history is not part of the result
         return net, instances
 
     # --- evidence preprocessing ------------------------------------------
@@ -268,31 +335,44 @@ class Engine:
 
     # --- the machine ------------------------------------------------------
 
-    def _solutions(
-        self, init, subst: Subst, net: ConstraintNetwork, depth: int
-    ) -> Iterator[tuple[Subst, ConstraintNetwork]]:
+    def _compile(self, key: tuple[str, int]) -> list[_Compiled]:
+        program = self.program
+        clauses = [
+            _Compiled(program.clauses[i], program.is_skolem_term)
+            for i in program.index.get(key, ())
+        ]
+        self._clauses[key] = clauses
+        return clauses
+
+    def _solutions(self, goals, s: Subst, n: ConstraintNetwork) -> Iterator[bool]:
+        """Yield True once per solution, with s and n holding it. Once the
+        alternatives run out, s and n are as they were on entry."""
+        base = s.mark()
+        # frames: (goal, cut barrier, clauses, next index, rest, trail mark, depth)
         alts: list[tuple] = []
-        state: Optional[tuple] = (init, subst, net, depth)
         while True:
-            if state is None:
+            if goals is _FAIL:
                 if not alts:
+                    s.undo(base)
                     return
-                goal, barrier, clauses, idx, rest, s0, n0, d0 = alts.pop()
+                goal, barrier, clauses, idx, rest, mark, depth = alts[-1]
+                s.undo(mark)
                 if idx + 1 < len(clauses):
-                    alts.append((goal, barrier, clauses, idx + 1, rest, s0, n0, d0))
-                state = self._try_clause(clauses[idx], goal, barrier, rest, s0, n0, d0)
+                    alts[-1] = (goal, barrier, clauses, idx + 1, rest, mark, depth)
+                else:
+                    alts.pop()
+                goals = self._try_clause(clauses[idx], goal, barrier, depth, rest, s, n)
                 continue
-            goals, s, n, d = state
             if goals is None:
-                yield s, n
-                state = None
+                yield True
+                goals = _FAIL
                 continue
             entry, rest = goals
             if entry[0] == "evidence":
-                state = self._query_evidence(entry[1], entry[2], rest, s, n, d)
+                goals = self._query_evidence(entry[1], entry[2], rest, s, n)
                 continue
-            g = s.walk(entry[1])
-            barrier = entry[2]
+            _kind, term, barrier, depth, cpt = entry
+            g = s.walk(term)
             if isinstance(g, Var):
                 raise EngineError("goal is an unbound variable")
             if is_number(g):
@@ -300,127 +380,95 @@ class Engine:
             key = (g.functor, g.arity) if isinstance(g, Struct) else (g.name, 0)
             if key == ("!", 0):
                 del alts[barrier:]
-                state = (rest, s, n, d)
-                continue
-            if key == (",", 2):
-                state = (
-                    _cons([("goal", g.args[0], barrier), ("goal", g.args[1], barrier)], rest),
-                    s,
-                    n,
-                    d,
+                goals = rest
+            elif key == (",", 2):
+                goals = (
+                    _goal(g.args[0], depth, barrier),
+                    (_goal(g.args[1], depth, barrier), rest),
                 )
-                continue
-            if key == ("^", 2):
-                state = ((("goal", g.args[1], barrier), rest), s, n, d)
-                continue
-            if key == ("{}", 1):
-                state = self._post(g, rest, s, n, d)
-                continue
-            if key in _BUILTIN_KEYS:
-                state = self._builtin(key, g, rest, s, n, d)
-                continue
-            clause_ids = self.program.index.get(key)
-            if not clause_ids:
-                state = None
-                continue
-            clauses = [self.program.clauses[i] for i in clause_ids]
-            alts.append((g, len(alts), clauses, 0, rest, s, n, d))
-            state = None
+            elif key == ("^", 2):
+                goals = (_goal(g.args[1], depth, barrier), rest)
+            elif key == ("{}", 1):
+                goals = self._post(g, cpt, rest, s, n)
+            elif key in _BUILTIN_KEYS:
+                goals = self._builtin(key, g, depth, rest, s, n)
+            else:
+                clauses = self._clauses.get(key)
+                if clauses is None:
+                    clauses = self._compile(key)
+                if clauses:
+                    alts.append((g, len(alts), clauses, 0, rest, s.mark(), depth))
+                goals = _FAIL
 
-    def _try_clause(self, clause, goal, barrier, rest, s, n, d):
-        if d + 1 > self.depth_limit:
+    def _try_clause(self, clause: _Compiled, goal, barrier, depth, rest, s, n):
+        if depth + 1 > self.depth_limit:
             raise LimitExceededError(
                 f"derivation depth exceeded the limit of {self.depth_limit} frames"
             )
-        mapping: dict[int, Var] = {}
-        head = rename_term(clause.head, mapping, self.ids)
-        r = unify_trail(head, goal, s)
-        if r is None:
-            return None
-        s2, trail = r
-        absorbed = self._absorb(n, s2, trail)
-        if absorbed is None:
-            return None
-        n2, s2 = absorbed
-        goals = _cons(
-            [("goal", rename_term(g, mapping, self.ids), barrier) for g in clause.body],
-            rest,
-        )
-        return (goals, s2, n2, d + 1)
+        mark = s.mark()
+        fill = self.ids.new_many(clause.head_names)
+        head = instantiate(clause.head, fill + clause.shared)
+        if not unify(head, goal, s) or not self._absorb(s, n, mark):
+            return _FAIL
+        if clause.body_names:
+            fill += self.ids.new_many(clause.body_names)
+        fill += clause.shared
+        goals = rest
+        for code, cpt in clause.body:
+            goals = (("goal", instantiate(code, fill), barrier, depth + 1, cpt), goals)
+        return goals
 
-    def _absorb(
-        self, net: ConstraintNetwork, subst: Subst, trail: list[tuple[Var, Term]]
-    ) -> Optional[tuple[ConstraintNetwork, Subst]]:
-        """Route new bindings of constrained variables into the network."""
-        queue = list(trail)
-        while queue:
-            v, t = queue.pop(0)
-            nid = net.binding.get(v.id)
-            if nid is None or nid not in net.nodes:
+    def _absorb(self, s: Subst, n: ConstraintNetwork, mark: int) -> bool:
+        """Route the bindings made since mark into the network, including
+        those that merges make along the way."""
+        for vid, t in s.bound_since(mark):
+            nid = n.binding.get(vid)
+            if nid is None or nid not in n.nodes:
                 continue
-            tw = subst.walk(t)
+            tw = s.walk(t)
             if isinstance(tw, Var):
-                other = net.binding.get(tw.id)
+                other = n.binding.get(tw.id)
                 if other is None:
-                    net = net.copy()
-                    net.binding[tw.id] = nid
-                elif other != nid:
-                    merged = net._merge_nodes(nid, other, subst)
-                    if merged is None:
-                        return None
-                    net, subst, extra, _survivor = merged
-                    queue.extend(extra)
+                    n._bind(tw.id, nid)
+                elif other != nid and n._merge_nodes(nid, other, s) is None:
+                    return False
                 continue
-            value = subst.resolve(tw)
+            value = s.resolve(tw)
             if is_ground(value):
                 try:
-                    n2 = net.set_evidence(nid, value)
+                    if not n._set_evidence(nid, value):
+                        return False
                 except EvidenceConflictError:
-                    return None
-                if n2 is None:
-                    return None
-                net = n2
+                    return False
             else:
-                node = net.nodes[nid]
+                node = n.nodes[nid]
                 keep = [
-                    i
-                    for i, val in enumerate(node.domain)
-                    if unify(val, value) is not None
+                    i for i, val in enumerate(node.domain) if unify(val, value, Subst())
                 ]
-                n2 = net.restrict_node_domain(nid, keep)
-                if n2 is None:
-                    return None
-                net = n2
-        return net, subst
+                if not n._restrict(nid, keep):
+                    return False
+        return True
 
-    def _unify_goal(self, a: Term, b: Term, rest, s, n, d):
-        r = unify_trail(a, b, s)
-        if r is None:
-            return None
-        s2, trail = r
-        absorbed = self._absorb(n, s2, trail)
-        if absorbed is None:
-            return None
-        n2, s2 = absorbed
-        return (rest, s2, n2, d)
+    def _unify_goal(self, a: Term, b: Term, rest, s, n):
+        mark = s.mark()
+        if unify(a, b, s) and self._absorb(s, n, mark):
+            return rest
+        return _FAIL
 
-    def _query_evidence(self, ev_var: Var, value: Term, rest, s, n, d):
+    def _query_evidence(self, ev_var: Var, value: Term, rest, s, n):
         w = s.walk(ev_var)
         if isinstance(w, Var):
             nid = n.binding.get(w.id)
             if nid is not None and nid in n.nodes:
                 try:
-                    n2 = n.set_evidence(nid, value)
+                    return rest if n._set_evidence(nid, value) else _FAIL
                 except EvidenceConflictError:
-                    return None
-                if n2 is None:
-                    return None
-                return (rest, s, n2, d)
-        return self._unify_goal(ev_var, value, rest, s, n, d)
+                    return _FAIL
+        return self._unify_goal(ev_var, value, rest, s, n)
 
     # --- constraint posting -----------------------------------------------
 
-    def _post(self, g: Struct, rest, s, n, d):
+    def _post(self, g: Struct, cpt, rest, s, n):
         inner = g.args[0]
         if not (
             isinstance(inner, Struct)
@@ -441,33 +489,32 @@ class Engine:
             raise MalformedCptError(
                 f"Skolem term must be an atom or compound: {term_to_text(label)}"
             )
-        spec = cpt_spec_from_term(s.resolve(cpt_t), n.is_skolem_term)
+        if cpt is None:
+            spec = cpt_spec_from_term(s.resolve(cpt_t), n.is_skolem_term)
+        else:
+            spec = CptSpec(cpt[0], cpt[1], cpt_parents(s.resolve(cpt_t.args[2])))
+        mark = s.mark()
         try:
-            posted = n.post_constraint(v, label, spec, s, self.ids, self.declared_evidence)
+            nid = n.post_constraint(v, label, spec, s, self.ids, self.declared_evidence)
         except EvidenceConflictError:
-            return None
-        if posted is None:
-            return None
-        n2, s2, _nid, trail = posted
-        absorbed = self._absorb(n2, s2, trail)
-        if absorbed is None:
-            return None
-        n3, s3 = absorbed
-        return (rest, s3, n3, d)
+            return _FAIL
+        if nid is None or not self._absorb(s, n, mark):
+            return _FAIL
+        return rest
 
     # --- builtins ----------------------------------------------------------
 
-    def _builtin(self, key, g, rest, s, n, d):
+    def _builtin(self, key, g, depth, rest, s, n):
         name, _arity = key
         if name == "true":
-            return (rest, s, n, d)
+            return rest
         if name == "fail":
-            return None
+            return _FAIL
         if name == "=":
-            return self._unify_goal(g.args[0], g.args[1], rest, s, n, d)
+            return self._unify_goal(g.args[0], g.args[1], rest, s, n)
         if name == "is":
             value = _arith(g.args[1], s)
-            return self._unify_goal(g.args[0], value, rest, s, n, d)
+            return self._unify_goal(g.args[0], value, rest, s, n)
         if name in _COMPARISONS:
             a = _arith(g.args[0], s)
             b = _arith(g.args[1], s)
@@ -479,15 +526,15 @@ class Engine:
                 "=:=": a == b,
                 "=\\=": a != b,
             }[name]
-            return (rest, s, n, d) if ok else None
+            return rest if ok else _FAIL
         if name == "findall":
             template, goal, out = g.args
-            merged, items = self._collect(template, goal, s, n, d)
-            return self._unify_goal(out, mklist(items), rest, s, merged, d)
+            items = self._collect(template, goal, depth, s, n)
+            return self._unify_goal(out, mklist(items), rest, s, n)
         if name == "setof":
-            return self._setof(g, rest, s, n, d)
+            return self._setof(g, depth, rest, s, n)
         if name == "average":
-            return self._average(g, rest, s, n, d)
+            return self._average(g, rest, s, n)
         if name == "mean":
             items = list_items(s.resolve(g.args[0]))
             if items is None or not items:
@@ -495,35 +542,35 @@ class Engine:
             if not all(is_number(x) for x in items):
                 raise ArithmeticGoalError("mean needs a ground list of numbers")
             value = float(sum(items)) / len(items)
-            return self._unify_goal(g.args[1], value, rest, s, n, d)
+            return self._unify_goal(g.args[1], value, rest, s, n)
         if name == "aggregate_cpt":
-            return self._aggregate_cpt(g, rest, s, n, d)
+            return self._aggregate_cpt(g, rest, s, n)
         raise EngineError(f"unhandled builtin {name}")
 
     # --- collection (findall / setof) ---------------------------------------
 
-    def _collect(self, template, goal, s, n, d):
-        solutions = list(self._solutions((("goal", goal, 0), None), s, n, d))
-        merged = n
-        items: list[Term] = []
-        for s_i, n_i in solutions:
-            merged, item = self._import_branch(merged, template, s_i, n_i)
-            items.append(item)
-        return merged, items
+    def _collect(self, template, goal, depth, s, n) -> list[Term]:
+        """Run goal to exhaustion, then import every solution's new nodes
+        into n; the collected template instances, one per solution."""
+        snapshots = [
+            (s.snapshot(), n.copy())
+            for _ in self._solutions((_goal(goal, depth), None), s, n)
+        ]
+        return [self._import_branch(n, template, s_i, n_i) for s_i, n_i in snapshots]
 
-    def _import_branch(self, merged, template, s_i, n_i):
+    def _import_branch(self, n, template, s_i, n_i) -> Term:
         """Copy one solution's new nodes into the running store and return
         the collected instance with node-referencing variables rebound."""
         remap: dict[int, int] = {}
         for nid in sorted(n_i.nodes):
-            if nid in merged.nodes:
+            if nid in n.nodes:
                 continue
             node = n_i.nodes[nid]
             label = s_i.resolve(node.label)
             parents = tuple(remap.get(p, p) for p in node.parents)
-            existing = merged.find_by_label(label, s_i) if is_ground(label) else None
+            existing = n.find_by_label(label, s_i) if is_ground(label) else None
             if existing is not None:
-                target = merged.nodes[existing]
+                target = n.nodes[existing]
                 same = (
                     len(target.domain) == len(node.domain)
                     and all(
@@ -544,39 +591,35 @@ class Engine:
                 remap[nid] = existing
                 continue
             for p in parents:
-                if p not in merged.nodes:
+                if p not in n.nodes:
                     raise FindallMergeError(
                         f"node {term_to_text(label)} depends on a node "
                         "that did not survive collection"
                     )
-            merged = merged.copy()
-            merged.nodes[nid] = replace(node, label=label, parents=parents)
-        resolved = s_i.resolve(template)
+            n._put(replace(node, label=label, parents=parents))
         mapping: dict[int, Var] = {}
-        item = rename_term(resolved, mapping, self.ids)
-        if mapping:
-            merged = merged.copy()
-            for old_id, new_var in mapping.items():
-                src = n_i.binding.get(old_id)
-                if src is not None:
-                    target = remap.get(src, src)
-                    if target in merged.nodes:
-                        merged.binding[new_var.id] = target
-        return merged, item
+        item = rename_term(s_i.resolve(template), mapping, self.ids)
+        for old_id, new_var in mapping.items():
+            src = n_i.binding.get(old_id)
+            if src is not None:
+                target = remap.get(src, src)
+                if target in n.nodes:
+                    n._bind(new_var.id, target)
+        return item
 
-    def _setof(self, g, rest, s, n, d):
+    def _setof(self, g, depth, rest, s, n):
         template, goal, out = g.args
         goal = s.walk(goal)
         while isinstance(goal, Struct) and goal.functor == "^" and goal.arity == 2:
             goal = s.walk(goal.args[1])
-        merged, items = self._collect(template, goal, s, n, d)
+        items = self._collect(template, goal, depth, s, n)
         if not items:
-            return None
+            return _FAIL
         keyed = []
         for it in items:
             w = s.walk(it) if isinstance(it, Var) else it
             if isinstance(w, Var):
-                nid = merged.binding.get(w.id)
+                nid = n.binding.get(w.id)
                 if nid is not None:
                     keyed.append(((1, nid), it))
                 else:
@@ -591,7 +634,7 @@ class Engine:
                 continue
             deduped.append(it)
             last_key = k
-        return self._unify_goal(out, mklist(deduped), rest, s, merged, d)
+        return self._unify_goal(out, mklist(deduped), rest, s, n)
 
     # --- aggregation --------------------------------------------------------
 
@@ -614,7 +657,7 @@ class Engine:
             nodes.append(n.nodes[nid])
         return pvars, nodes
 
-    def _average(self, g, rest, s, n, d):
+    def _average(self, g, rest, s, n):
         lst, out = g.args
         pvars, nodes = self._parent_nodes(lst, s, n, "average")
         for node in nodes:
@@ -638,9 +681,9 @@ class Engine:
                 mklist(list(pvars)),
             ),
         )
-        return self._unify_goal(out, cpt, rest, s, n, d)
+        return self._unify_goal(out, cpt, rest, s, n)
 
-    def _aggregate_cpt(self, g, rest, s, n, d):
+    def _aggregate_cpt(self, g, rest, s, n):
         op_t, lst, agg_dom_t, field_cpt_t, out = g.args
         op = s.walk(op_t)
         if not isinstance(op, Atom) or op.name not in ("mean", "min", "max", "mode"):
@@ -706,7 +749,7 @@ class Engine:
                 mklist(list(pvars)),
             ),
         )
-        return self._unify_goal(out, cpt, rest, s, n, d)
+        return self._unify_goal(out, cpt, rest, s, n)
 
 
 def _agg_index(domain: list[Term], value: Term) -> Optional[int]:

@@ -27,7 +27,7 @@ from .errors import GroundingError, InconsistentEvidenceError, InferenceError
 from .network import ConstraintNetwork, Node
 from .parser import parse_term, term_to_text
 from .program import Program, parse_query, with_population
-from .terms import EMPTY_SUBST, FreshVars, Struct, Term, is_ground, mkconj, term_equal
+from .terms import FreshVars, Struct, Term, is_ground, mkconj, term_equal
 
 NodeRef = Union[int, str, Term]
 
@@ -134,7 +134,7 @@ def resolve_node(net: ConstraintNetwork, node: NodeRef) -> int:
             raise InferenceError(f"no node with id {node}")
         return node
     label = parse_term(node) if isinstance(node, str) else node
-    nid = net.find_by_label(label, EMPTY_SUBST)
+    nid = net.find_by_label(label)
     if nid is None:
         raise InferenceError(f"no node labeled {term_to_text(label)}")
     return nid
@@ -489,7 +489,7 @@ def _transfer_evidence(
         node = answer_net.nodes[nid]
         if node.evidence is None:
             continue
-        gid = g.find_by_label(node.label, EMPTY_SUBST)
+        gid = g.find_by_label(node.label)
         if gid is None:
             raise GroundingError(
                 f"evidence node {term_to_text(node.label)} is missing from "
@@ -622,7 +622,7 @@ def agreement_sweep(
                     continue
                 for value in enode.domain:
                     b2 = bnet.set_evidence(eid, value)
-                    gid = ground.find_by_label(enode.label, EMPTY_SUBST)
+                    gid = ground.find_by_label(enode.label)
                     g2 = ground.set_evidence(gid, value) if gid is not None else None
                     if b2 is None or g2 is None:
                         if (b2 is None) != (g2 is None):

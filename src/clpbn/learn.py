@@ -13,8 +13,9 @@ body goals that are either facts or calls to other defining clauses.
 Clauses outside the fragment (computed tables, aggregation, arithmetic)
 are left untouched by fitting and ignored by scoring.
 
-The structural grounder runs on the engine's term layer: bindings are
-``terms.Subst`` values built by ``terms.unify``, a called clause is
+The structural grounder runs on the engine's term layer: a clause body is
+joined depth first on one ``terms.Subst``, bound by ``terms.unify`` and
+taken back with ``mark``/``undo`` between alternatives; a called clause is
 renamed apart with ``rename_term`` before its head meets the goal, and
 the population is merged by ``program.with_population``.
 """
@@ -25,7 +26,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .program import (
     with_population,
 )
 from .terms import (
-    EMPTY_SUBST,
     Atom,
     FreshVars,
     Struct,
@@ -221,17 +221,6 @@ class _Instance:
     parents: tuple[Term, ...]  # parent labels, CPT order
 
 
-def _join(thetas: list[Subst], pattern: Term, values: list[Term]) -> list[Subst]:
-    """Every extension of a substitution in thetas that unifies pattern with
-    one of values (fact heads, or the entity arguments of callee instances)."""
-    return [
-        th
-        for theta in thetas
-        for value in values
-        if (th := unify(pattern, value, theta)) is not None
-    ]
-
-
 def _callee_label(
     goal: Struct, callee: _FieldClause, fresh: FreshVars
 ) -> Optional[Term]:
@@ -244,8 +233,10 @@ def _callee_label(
     mapping: dict[int, Var] = {}
     head = rename_term(callee.head, mapping, fresh)
     label = rename_term(callee.label, mapping, fresh)
-    s = unify(_entity(head, callee.cvar_pos), _entity(goal, callee.cvar_pos))
-    return None if s is None else s.resolve(label)
+    s = Subst()
+    if not unify(_entity(head, callee.cvar_pos), _entity(goal, callee.cvar_pos), s):
+        return None
+    return s.resolve(label)
 
 
 def structural_instances(
@@ -296,36 +287,29 @@ def structural_instances(
         jobs.extend(demands.values())
         for key, demanded in jobs:
             fc = analysis.fields[key]
-            entity = _entity(fc.head, fc.cvar_pos)
-            theta0 = EMPTY_SUBST if demanded is None else unify(entity, demanded)
-            if theta0 is None:
+            theta = Subst()
+            if demanded is not None and not unify(_entity(fc.head, fc.cvar_pos), demanded, theta):
                 continue
             before = len(demands)
-            thetas, parent_map = _enumerate_clause(
-                fc, analysis, head_tuples, demands, labels, theta0
-            )
-            for theta in thetas:
-                label = theta.resolve(fc.label)
+            solutions = _enumerate_clause(fc, analysis, head_tuples, demands, labels, theta)
+            for label, parents, entity in solutions:
                 if not is_ground(label):
                     continue
                 ltext = term_to_text(label)
                 if ltext in seen[key]:
                     continue
-                parents = []
-                for pv in fc.parent_vars:
-                    pat = parent_map.get(pv.id)
-                    if pat is None:
+                for pv, parent in zip(fc.parent_vars, parents):
+                    if parent is None:
                         raise LearnError(
                             f"clause for {key[0]}/{key[1]}: CPT parent "
                             f"{pv.display()} is not bound by a defining-"
                             "clause call in the body"
                         )
-                    parents.append(theta.resolve(pat))
                 if not all(is_ground(p) for p in parents):
                     continue
                 seen[key].add(ltext)
                 insts[key].append(_Instance(label, tuple(parents)))
-                head_tuples[key].append(theta.resolve(entity))
+                head_tuples[key].append(entity)
                 changed = True
             if len(demands) != before:
                 changed = True
@@ -338,45 +322,79 @@ def _enumerate_clause(
     head_tuples: dict[tuple[str, int], list[Term]],
     demands: dict[tuple, tuple[tuple[str, int], Term]],
     labels: dict[int, Optional[Term]],
-    theta0: Subst,
-) -> tuple[list[Subst], dict[int, Term]]:
-    """Every substitution satisfying the clause body, and the parent map:
-    CPT-parent variable id -> parent label pattern in the clause's variables."""
-    thetas = [theta0]
+    theta: Subst,
+) -> list[tuple[Term, list[Optional[Term]], Term]]:
+    """Every solution of the clause body under theta, read off as (label,
+    CPT parent labels, head entity arguments), resolved. A parent is None
+    when no defining-clause call in the body binds it.
+
+    The body is joined depth first: each goal binds one alternative at a
+    time into theta and undoes it before the next, so solutions come in
+    the order of a goal-by-goal join over lists of bindings. Calls with
+    bound entity arguments demand that callee instance; demands are
+    recorded in that same goal-by-goal order."""
+    goals = fc.body_goals
+    # CPT-parent variable id -> parent label pattern in the clause's variables
     parent_map: dict[int, Term] = {}
-    for goal in fc.body_goals:
+    for goal in goals:
         gkey = _goal_key(goal)
         if gkey in analysis.facts:
-            thetas = _join(thetas, goal, analysis.facts[gkey])
-        elif gkey in analysis.fields:
-            callee = analysis.fields[gkey]
-            pattern = labels[id(goal)]
-            if pattern is None:
-                thetas = []
-                continue
-            out_var = goal.args[callee.cvar_pos]
-            if isinstance(out_var, Var):
-                parent_map[out_var.id] = pattern
-            entity = _entity(goal, callee.cvar_pos)
-            nxt: list[Subst] = []
-            for theta in thetas:
-                args = theta.resolve(entity)
-                if is_ground(args):
-                    demands.setdefault((gkey, term_to_text(args)), (gkey, args))
-                    nxt.append(theta)
-                else:
-                    nxt.extend(_join([theta], entity, head_tuples[gkey]))
-            thetas = nxt
+            continue
+        if gkey in analysis.fields:
+            out_var = goal.args[analysis.fields[gkey].cvar_pos]
+            if labels[id(goal)] is not None and isinstance(out_var, Var):
+                parent_map[out_var.id] = labels[id(goal)]
         elif gkey in analysis.skipped:
             raise LearnError(
                 f"clause for {fc.key[0]}/{fc.key[1]} calls {gkey[0]}/{gkey[1]}, "
                 f"which is outside the supported fragment "
                 f"({analysis.skipped[gkey]})"
             )
+    demanded: list[list[tuple[tuple[str, int], Term]]] = [[] for _ in goals]
+
+    def choices(k: int) -> Iterator[bool]:
+        """Bind each alternative for goal k in turn; unknown goals have none."""
+        mark = theta.mark()
+        goal = goals[k]
+        gkey = _goal_key(goal)
+        pattern, values = goal, analysis.facts.get(gkey, ())
+        if gkey in analysis.fields:
+            if labels[id(goal)] is None:
+                return
+            pattern = _entity(goal, analysis.fields[gkey].cvar_pos)
+            args = theta.resolve(pattern)
+            if is_ground(args):
+                demanded[k].append((gkey, args))
+                yield True
+                return
+            values = head_tuples[gkey]
+        for value in values:
+            if unify(pattern, value, theta):
+                yield True
+                theta.undo(mark)
+
+    entity = _entity(fc.head, fc.cvar_pos)
+
+    def solution() -> tuple[Term, list[Optional[Term]], Term]:
+        parents = [
+            theta.resolve(parent_map[pv.id]) if pv.id in parent_map else None
+            for pv in fc.parent_vars
+        ]
+        return theta.resolve(fc.label), parents, theta.resolve(entity)
+
+    out = [] if goals else [solution()]
+    stack = [choices(0)] if goals else []  # one generator per goal entered
+    while stack:
+        if not next(stack[-1], False):
+            stack.pop()
+        elif len(stack) < len(goals):
+            stack.append(choices(len(stack)))
         else:
-            # unknown predicate: no tuples, clause grounds to nothing
-            thetas = []
-    return thetas, parent_map
+            out.append(solution())
+    for level in demanded:
+        for gkey, args in level:
+            demands.setdefault((gkey, term_to_text(args)), (gkey, args))
+    return out
 
 
 def structural_ground(
@@ -414,9 +432,7 @@ def _network(
                     f"{term_to_text(inst.label)} was never derived"
                 )
             parents.append(pid)
-        net.nodes[nid] = Node(
-            nid, inst.label, fc.domain, fc.table, tuple(parents), None
-        )
+        net._put(Node(nid, inst.label, fc.domain, fc.table, tuple(parents), None))
     for node in net.nodes.values():
         expected = len(node.domain)
         for p in node.parents:
@@ -603,9 +619,10 @@ def _cycle_edges(net: ConstraintNetwork) -> set[tuple[int, int]]:
     comp: dict[int, int] = {}
     counter = [0]
     comp_id = [0]
+    children = {v: sorted(cs) for v, cs in net._child_lists().items()}
 
     def strongconnect(v: int) -> None:
-        work = [(v, iter(net.children(v)))]
+        work = [(v, iter(children[v]))]
         index[v] = low[v] = counter[0]
         counter[0] += 1
         stack.append(v)
@@ -619,7 +636,7 @@ def _cycle_edges(net: ConstraintNetwork) -> set[tuple[int, int]]:
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(net.children(w))))
+                    work.append((w, iter(children[w])))
                     advanced = True
                     break
                 elif w in on_stack:

@@ -2,13 +2,26 @@
 
 Nodes are labeled by Skolem terms (possibly non-ground mid-derivation)
 and carry a domain, a flat CPT (see ``program`` for the layout), parent
-node ids, and optional evidence. All operations are functional: they
-return a new network, so the engine can backtrack by dropping a state.
+node ids, and optional evidence.
 
-Failure semantics: operations return None for logical failure (label
-clash, empty domain intersection, incompatible tables, all-zero column);
-structural problems raise (malformed CPT, unconstrained parent, directed
-cycle, evidence conflict).
+The engine grows one store in place. Every change to ``nodes``,
+``binding`` and the label index is logged on ``trail``, the undo trail
+that the engine's ``Subst`` logs its bindings to, so one ``Subst.undo``
+on backtracking reverts bindings and store together. The public
+operations (``add_node``, ``set_evidence``, ``restrict_node_domain``,
+``apply_substitution``) leave the network they are called on unchanged
+and return a changed copy; each is ``copy()`` plus the in-place operation
+the engine uses. Change ``nodes`` and ``binding`` only through them.
+
+The label index maps each ground stored label, by ``term_sort_key``, to
+its node ids. Nodes whose stored label holds a variable are kept in a
+small set and resolved when searched, so ``find_by_label`` is a dict
+lookup plus a scan of that set.
+
+Failure semantics: operations return None (or False in place) for logical
+failure (label clash, empty domain intersection, incompatible tables,
+all-zero column); structural problems raise (malformed CPT, unconstrained
+parent, directed cycle, evidence conflict).
 """
 
 from __future__ import annotations
@@ -28,16 +41,19 @@ from .errors import (
 from .parser import parse_term, term_to_text
 from .program import CptSpec, col_index, column_count
 from .terms import (
-    EMPTY_SUBST,
     Atom,
     FreshVars,
     Struct,
     Subst,
     Term,
     Var,
+    ground_key,
     is_ground,
     term_equal,
-    unify_trail,
+    term_sort_key,
+    trail_del,
+    trail_set,
+    unify,
 )
 
 MERGE_TOLERANCE = 1e-9
@@ -73,6 +89,29 @@ def normalize_columns(table: list[float], d: int) -> Optional[list[float]]:
     return out
 
 
+def _domain_index(domain: tuple[Term, ...], value: Term) -> Optional[int]:
+    for i, v in enumerate(domain):
+        if term_equal(v, value):
+            return i
+    return None
+
+
+def _common_values(a: tuple[Term, ...], b: tuple[Term, ...]) -> list[tuple[int, int]]:
+    """(i, j) with a[i] equal to b[j], for each value of a that b holds, in
+    a's order. Linear in the domain sizes: a dict of sort keys replaces the
+    pairwise scan once that would take more than a few dozen comparisons."""
+    if a is b:
+        return [(i, i) for i in range(len(a))]
+    if len(a) * len(b) <= 64:
+        pairs = ((i, _domain_index(b, v)) for i, v in enumerate(a))
+    else:
+        pos: dict[tuple, int] = {}
+        for j, w in enumerate(b):
+            pos.setdefault(term_sort_key(w), j)
+        pairs = ((i, pos.get(term_sort_key(v))) for i, v in enumerate(a))
+    return [(i, j) for i, j in pairs if j is not None]
+
+
 class ConstraintNetwork:
     """Mapping of node ids to nodes plus variable-to-node bindings."""
 
@@ -85,15 +124,22 @@ class ConstraintNetwork:
         self.binding: dict[int, int] = {}  # var id -> node id
         self.skolem_functors = frozenset(skolem_functors)
         self.skolem_constants = frozenset(skolem_constants)
+        self.trail: list = []
+        self._by_label: dict[tuple, tuple[int, ...]] = {}  # ground label key -> ids
+        self._open: dict[int, None] = {}  # ids of nodes whose label is not ground
 
     # --- plumbing -------------------------------------------------------
 
     def copy(self) -> "ConstraintNetwork":
+        """An independent network with the same contents and an empty trail."""
         net = ConstraintNetwork.__new__(ConstraintNetwork)
         net.nodes = dict(self.nodes)
         net.binding = dict(self.binding)
         net.skolem_functors = self.skolem_functors
         net.skolem_constants = self.skolem_constants
+        net.trail = []
+        net._by_label = dict(self._by_label)
+        net._open = dict(self._open)
         return net
 
     def __len__(self) -> int:
@@ -109,17 +155,58 @@ class ConstraintNetwork:
             return (t.name, 0) in self.skolem_functors or t.name in self.skolem_constants
         return False
 
-    def children(self, node_id: int) -> list[int]:
-        return sorted(c.id for c in self.nodes.values() if node_id in c.parents)
+    def find_by_label(self, label: Term, subst: Optional[Subst] = None) -> Optional[int]:
+        """Lowest id of a node whose label, resolved under subst, equals label."""
+        return self._find(term_sort_key(label), label, subst)
 
-    def find_by_label(self, label: Term, subst: Subst = EMPTY_SUBST) -> Optional[int]:
-        for nid in sorted(self.nodes):
-            if term_equal(subst.resolve(self.nodes[nid].label), label):
-                return nid
-        return None
+    def _find(self, key: tuple, label: Term, subst: Optional[Subst]) -> Optional[int]:
+        ids = self._by_label.get(key)
+        best = ids[0] if ids else None
+        for nid in self._open:
+            if best is not None and nid > best:
+                continue
+            stored = self.nodes[nid].label
+            if term_equal(subst.resolve(stored) if subst else stored, label):
+                best = nid
+        return best
 
     def parent_sizes(self, node: Node) -> list[int]:
         return [self.nodes[p].cardinality for p in node.parents]
+
+    # --- in-place changes, logged on the trail ---------------------------
+
+    def _put(self, node: Node) -> None:
+        """Insert or replace a node, keeping the label index current."""
+        old = self.nodes.get(node.id)
+        trail_set(self.trail, self.nodes, node.id, node)
+        if old is not None:
+            if old.label is node.label:
+                return
+            self._index(old, False)
+        self._index(node, True)
+
+    def _drop(self, nid: int) -> None:
+        node = self.nodes[nid]
+        trail_del(self.trail, self.nodes, nid)
+        self._index(node, False)
+
+    def _index(self, node: Node, add: bool) -> None:
+        key = ground_key(node.label)
+        if key is None:
+            if add:
+                trail_set(self.trail, self._open, node.id, None)
+            else:
+                trail_del(self.trail, self._open, node.id)
+            return
+        ids = self._by_label.get(key, ())
+        ids = tuple(sorted(ids + (node.id,))) if add else tuple(i for i in ids if i != node.id)
+        if ids:
+            trail_set(self.trail, self._by_label, key, ids)
+        else:
+            trail_del(self.trail, self._by_label, key)
+
+    def _bind(self, var_id: int, nid: int) -> None:
+        trail_set(self.trail, self.binding, var_id, nid)
 
     # --- basic construction ----------------------------------------------
 
@@ -134,6 +221,10 @@ class ConstraintNetwork:
     ) -> tuple["ConstraintNetwork", int]:
         """Insert a node directly (network construction API, also used by
         tests and the JSON loader). Raises on shape problems."""
+        net = self.copy()
+        return net, net._add_node(label, domain, table, parents, evidence, node_id)
+
+    def _add_node(self, label, domain, table, parents=(), evidence=None, node_id=None) -> int:
         domain = tuple(domain)
         table = tuple(float(x) for x in table)
         parents = tuple(parents)
@@ -154,41 +245,36 @@ class ConstraintNetwork:
             raise MalformedCptError(f"node id {nid} already in use")
         ev_idx = None
         if evidence is not None:
-            ev_idx = self._domain_index(domain, evidence)
+            ev_idx = _domain_index(domain, evidence)
             if ev_idx is None:
                 raise MalformedCptError(
                     f"evidence value {term_to_text(evidence)} not in domain"
                 )
-        net = self.copy()
-        net.nodes[nid] = Node(nid, label, domain, table, parents, ev_idx)
-        return net, nid
-
-    @staticmethod
-    def _domain_index(domain: tuple[Term, ...], value: Term) -> Optional[int]:
-        for i, v in enumerate(domain):
-            if term_equal(v, value):
-                return i
-        return None
+        self._put(Node(nid, label, domain, table, parents, ev_idx))
+        return nid
 
     # --- evidence --------------------------------------------------------
 
     def set_evidence(self, node_id: int, value: Term) -> Optional["ConstraintNetwork"]:
         """None if the value is not in the domain (logical failure);
         EvidenceConflictError if different evidence is already set."""
+        net = self.copy()
+        return net if net._set_evidence(node_id, value) else None
+
+    def _set_evidence(self, node_id: int, value: Term) -> bool:
         node = self.nodes[node_id]
-        idx = self._domain_index(node.domain, value)
+        idx = _domain_index(node.domain, value)
         if idx is None:
-            return None
+            return False
         if node.evidence is not None:
             if node.evidence != idx:
                 raise EvidenceConflictError(
                     f"node {term_to_text(node.label)} already has evidence "
                     f"{term_to_text(node.domain[node.evidence])}, got {term_to_text(value)}"
                 )
-            return self
-        net = self.copy()
-        net.nodes[node_id] = replace(node, evidence=idx)
-        return net
+            return True
+        self._put(replace(node, evidence=idx))
+        return True
 
     # --- posting -----------------------------------------------------------
 
@@ -200,14 +286,15 @@ class ConstraintNetwork:
         subst: Subst,
         ids: FreshVars,
         declared_evidence: Optional[dict[str, Term]] = None,
-    ):
-        """Post one constraint. ``v`` is the walked constraint variable (an
-        unbound Var, or a ground term which becomes evidence); ``label`` and
-        ``spec`` are already resolved under ``subst``.
+    ) -> Optional[int]:
+        """Post one constraint in place. ``v`` is the walked constraint
+        variable (an unbound Var, or a ground term which becomes evidence);
+        ``label`` and ``spec`` are already resolved under ``subst``.
 
-        Returns (net, subst, node_id, trail) or None for logical failure.
-        The trail carries bindings added by label unification on merges; the
-        caller must absorb them (they may touch constrained variables).
+        Returns the node id, or None for logical failure (the caller undoes
+        the trail). A merge may unify labels, binding into ``subst``; the
+        caller must absorb those bindings (they may touch constrained
+        variables).
         """
         parent_ids: list[int] = []
         for p in spec.parents:
@@ -251,61 +338,43 @@ class ConstraintNetwork:
         target: Optional[int] = None
         if isinstance(v, Var) and v.id in self.binding:
             target = self.binding[v.id]
-        elif is_ground(label):
-            target = self.find_by_label(label, subst)
+        else:
+            key = ground_key(label)
+            if key is not None:
+                target = self._find(key, label, subst)
 
         if target is None:
-            nid = ids.next_id()
-            net = self.copy()
-            net.nodes[nid] = Node(
-                nid, label, spec.domain, spec.table, tuple(parent_ids), None
-            )
-            if isinstance(v, Var):
-                net.binding[v.id] = nid
-            result = net._apply_post_evidence(nid, v, label, subst, declared_evidence)
-            if result is None:
-                return None
-            return result, subst, nid, []
-
-        # Merge with the existing node: same random variable reached twice.
-        merged = self._merge_spec_into(
-            target, label, spec, tuple(parent_ids), subst
-        )
-        if merged is None:
+            target = ids.next_id()
+            self._put(Node(target, label, spec.domain, spec.table, tuple(parent_ids), None))
+        elif not self._merge_spec_into(target, label, spec, tuple(parent_ids), subst):
+            # Merge with the existing node: same random variable reached twice.
             return None
-        net, s2, trail = merged
         if isinstance(v, Var):
-            net = net.copy()
-            net.binding[v.id] = target
-        result = net._apply_post_evidence(target, v, label, s2, declared_evidence)
-        if result is None:
+            self._bind(v.id, target)
+        if not self._post_evidence(target, v, label, subst, declared_evidence):
             return None
-        return result, s2, target, trail
+        return target
 
-    def _apply_post_evidence(
+    def _post_evidence(
         self,
         nid: int,
         v: Term,
         label: Term,
         subst: Subst,
         declared_evidence: Optional[dict[str, Term]],
-    ) -> Optional["ConstraintNetwork"]:
-        net = self
+    ) -> bool:
         if not isinstance(v, Var):
             # The constraint variable was already bound to a ground value:
             # record it as evidence on the node.
-            net = net.set_evidence(nid, v)
-            if net is None:
-                return None
+            if not self._set_evidence(nid, v):
+                return False
         if declared_evidence:
             resolved = subst.resolve(label)
             if is_ground(resolved):
                 val = declared_evidence.get(term_to_text(resolved))
-                if val is not None:
-                    net = net.set_evidence(nid, val)
-                    if net is None:
-                        return None
-        return net
+                if val is not None and not self._set_evidence(nid, val):
+                    return False
+        return True
 
     def _merge_spec_into(
         self,
@@ -314,82 +383,56 @@ class ConstraintNetwork:
         spec: CptSpec,
         parent_ids: tuple[int, ...],
         subst: Subst,
-    ):
+    ) -> bool:
         """Check the posted spec against an existing node and merge."""
         node = self.nodes[target]
-        r = unify_trail(node.label, label, subst)
-        if r is None:
-            return None
-        s2, trail = r
+        if not unify(node.label, label, subst):
+            return False
         if node.parents != parent_ids:
-            return None
-        keep_node = [
-            i
-            for i, val in enumerate(node.domain)
-            if any(term_equal(val, w) for w in spec.domain)
-        ]
-        if not keep_node:
-            return None
-        # Align the new table's rows to the surviving values and compare.
-        cols = column_count(len(node.table), node.cardinality)
-        for i in keep_node:
-            val = node.domain[i]
-            j = self._domain_index(spec.domain, val)
-            for c in range(cols):
-                a = node.table[i * cols + c]
-                b = spec.table[j * cols + c]
-                if not math.isclose(a, b, rel_tol=0.0, abs_tol=MERGE_TOLERANCE):
-                    return None
-        net = self
-        if len(keep_node) != node.cardinality:
-            net = net.restrict_node_domain(target, keep_node)
-            if net is None:
-                return None
+            return False
+        pairs = _common_values(node.domain, spec.domain)
+        if not pairs:
+            return False
+        if node.domain is not spec.domain or node.table is not spec.table:
+            # Align the new table's rows to the surviving values and compare.
+            cols = column_count(len(node.table), node.cardinality)
+            for i, j in pairs:
+                for c in range(cols):
+                    a = node.table[i * cols + c]
+                    b = spec.table[j * cols + c]
+                    if not math.isclose(a, b, rel_tol=0.0, abs_tol=MERGE_TOLERANCE):
+                        return False
+        if len(pairs) != node.cardinality:
+            if not self._restrict(target, [i for i, _ in pairs]):
+                return False
         # Store the unified label (resolved as far as the bindings go).
-        net = net.copy()
-        cur = net.nodes[target]
-        net.nodes[target] = replace(cur, label=s2.resolve(cur.label))
-        return net, s2, trail
+        cur = self.nodes[target]
+        new_label = subst.resolve(cur.label)
+        if new_label is not cur.label:
+            self._put(replace(cur, label=new_label))
+        return True
 
     # --- merging of two nodes -------------------------------------------
 
-    def unify_constrained(self, v1: Var, v2: Var, subst: Subst):
-        """Merge the nodes of two constrained variables.
+    def _merge_nodes(self, n1: int, n2: int, subst: Subst) -> Optional[int]:
+        """Merge node n2 into n1 in place; the survivor's id, or None.
 
-        Returns (net, subst, trail, survivor_id) or None for failure.
-        Raises NetworkCycleError if the merge creates a directed cycle.
-        """
-        n1 = self.binding.get(v1.id)
-        n2 = self.binding.get(v2.id)
-        if n1 is None or n2 is None:
-            raise UnconstrainedParentError("unify_constrained needs two constrained variables")
-        if n1 == n2:
-            return self, subst, [], n1
-        return self._merge_nodes(n1, n2, subst)
-
-    def _merge_nodes(self, n1: int, n2: int, subst: Subst):
+        Label unification binds into subst. Raises NetworkCycleError if the
+        merge creates a directed cycle."""
         a = self.nodes[n1]
         b = self.nodes[n2]
-        r = unify_trail(a.label, b.label, subst)
-        if r is None:
+        if not unify(a.label, b.label, subst):
             return None
-        s2, trail = r
         if a.parents != b.parents:
             return None
-        keep_a: list[int] = []
-        keep_b: list[int] = []
-        for i, val in enumerate(a.domain):
-            j = self._domain_index(b.domain, val)
-            if j is not None:
-                keep_a.append(i)
-                keep_b.append(j)
-        if not keep_a:
+        pairs = _common_values(a.domain, b.domain)
+        if not pairs:
             return None
         cols_a = column_count(len(a.table), a.cardinality)
         cols_b = column_count(len(b.table), b.cardinality)
         if cols_a != cols_b:
             return None
-        for i, j in zip(keep_a, keep_b):
+        for i, j in pairs:
             for c in range(cols_a):
                 if not math.isclose(
                     a.table[i * cols_a + c],
@@ -405,41 +448,35 @@ class ConstraintNetwork:
                 ev_vals.append(node.domain[node.evidence])
         if len(ev_vals) == 2 and not term_equal(ev_vals[0], ev_vals[1]):
             return None
-        net = self
-        if len(keep_a) != a.cardinality:
-            net = net.restrict_node_domain(n1, keep_a)
-            if net is None:
-                return None
-        net = net.copy()
+        keep_a = [i for i, _ in pairs]
+        keep_b = [j for _, j in pairs]
+        if len(keep_a) != a.cardinality and not self._restrict(n1, keep_a):
+            return None
         # Restrict n2's slice in each of its children, then repoint to n1.
-        if len(keep_b) != b.cardinality:
-            tmp = net.restrict_node_domain(n2, keep_b)
-            if tmp is None:
-                return None
-            net = tmp.copy()
-        for cid in list(net.nodes):
-            child = net.nodes[cid]
+        if len(keep_b) != b.cardinality and not self._restrict(n2, keep_b):
+            return None
+        for cid in list(self.nodes):
+            child = self.nodes[cid]
             if n2 in child.parents and cid != n2:
                 new_parents = tuple(n1 if p == n2 else p for p in child.parents)
                 if len(set(new_parents)) != len(new_parents):
                     return None  # child would list the merged node twice
-                net.nodes[cid] = replace(child, parents=new_parents)
-        survivor = net.nodes[n1]
+                self._put(replace(child, parents=new_parents))
+        survivor = self.nodes[n1]
         if ev_vals:
-            idx = self._domain_index(survivor.domain, ev_vals[0])
+            idx = _domain_index(survivor.domain, ev_vals[0])
             if idx is None:
                 return None
             survivor = replace(survivor, evidence=idx)
-        survivor = replace(survivor, label=s2.resolve(survivor.label))
-        net.nodes[n1] = survivor
-        del net.nodes[n2]
-        for vid, nid in list(net.binding.items()):
+        self._put(replace(survivor, label=subst.resolve(survivor.label)))
+        self._drop(n2)
+        for vid, nid in list(self.binding.items()):
             if nid == n2:
-                net.binding[vid] = n1
-        ok, cycle = net.check_acyclic()
+                self._bind(vid, n1)
+        ok, cycle = self.check_acyclic()
         if not ok:
             raise NetworkCycleError("merge created a directed cycle", cycle)
-        return net, s2, trail, n1
+        return n1
 
     # --- domain restriction ------------------------------------------------
 
@@ -450,44 +487,42 @@ class ConstraintNetwork:
         drop the rows, renormalize columns, and restrict the node's slice
         in every child's table. None if a column becomes all-zero or the
         node's evidence value is dropped."""
+        net = self.copy()
+        return net if net._restrict(node_id, keep) else None
+
+    def _restrict(self, node_id: int, keep: list[int]) -> bool:
         node = self.nodes[node_id]
         if keep == list(range(node.cardinality)):
-            return self
+            return True
         if not keep:
-            return None
+            return False
         new_domain = tuple(node.domain[i] for i in keep)
         cols = column_count(len(node.table), node.cardinality)
         new_table = [node.table[i * cols + c] for i in keep for c in range(cols)]
         new_table = normalize_columns(new_table, len(keep))
         if new_table is None:
-            return None
+            return False
         new_evidence = None
         if node.evidence is not None:
             if node.evidence not in keep:
-                return None
+                return False
             new_evidence = keep.index(node.evidence)
-        net = self.copy()
-        net.nodes[node_id] = replace(
-            node,
-            domain=new_domain,
-            table=tuple(new_table),
-            evidence=new_evidence,
-        )
-        for cid in list(net.nodes):
-            child = net.nodes[cid]
+        # children first: their old tables are laid out by the old domain size
+        keep_set = set(keep)
+        remap = {old: new for new, old in enumerate(keep)}
+        for cid in list(self.nodes):
+            child = self.nodes[cid]
             if node_id not in child.parents or cid == node_id:
                 continue
             sizes = [self.nodes[p].cardinality for p in child.parents]
             axis = child.parents.index(node_id)
             d = child.cardinality
             # enumerate old columns, keep those whose value on `axis` survives
-            keep_set = set(keep)
-            remap = {old: new for new, old in enumerate(keep)}
             old_cols = column_count(len(child.table), d)
             new_sizes = list(sizes)
             new_sizes[axis] = len(keep)
-            new_table_child = [0.0] * (d * (old_cols // sizes[axis] * len(keep)))
             new_col_total = old_cols // sizes[axis] * len(keep)
+            new_table_child = [0.0] * (d * new_col_total)
             for combo in itertools.product(*[range(n) for n in sizes]):
                 if combo[axis] not in keep_set:
                     continue
@@ -499,35 +534,34 @@ class ConstraintNetwork:
                     new_table_child[r * new_col_total + nc] = child.table[r * old_cols + oc]
             normalized = normalize_columns(new_table_child, d)
             if normalized is None:
-                return None
-            net.nodes[cid] = replace(child, table=tuple(normalized))
-        return net
+                return False
+            self._put(replace(child, table=tuple(normalized)))
+        self._put(
+            replace(node, domain=new_domain, table=tuple(new_table), evidence=new_evidence)
+        )
+        return True
 
     # --- whole-net substitution -------------------------------------------
 
     def apply_substitution(self, subst: Subst) -> Optional["ConstraintNetwork"]:
-        """Apply a substitution to every label. Domain values that cannot be
-        a denotation of the new label are marginalized away; None if that
-        empties a domain or zeroes a column."""
-        net = self
-        for nid in sorted(self.nodes):
+        """A copy with the bindings applied to every label. Domain values
+        that cannot be a denotation of the new label are marginalized away;
+        None if that empties a domain or zeroes a column."""
+        net = self.copy()
+        for nid in sorted(net.nodes):
             node = net.nodes[nid]
             new_label = subst.resolve(node.label)
-            if isinstance(new_label, Var) or net.is_skolem_term(new_label):
-                keep = list(range(node.cardinality))
-            else:
+            if not (isinstance(new_label, Var) or net.is_skolem_term(new_label)):
                 keep = [
                     i
                     for i, val in enumerate(node.domain)
-                    if unify_trail(val, new_label, EMPTY_SUBST) is not None
+                    if unify(val, new_label, Subst())
                 ]
-            if len(keep) != node.cardinality:
-                restricted = net.restrict_node_domain(nid, keep)
-                if restricted is None:
+                if not net._restrict(nid, keep):
                     return None
-                net = restricted
-            net = net.copy()
-            net.nodes[nid] = replace(net.nodes[nid], label=new_label)
+            node = net.nodes[nid]
+            if new_label is not node.label:
+                net._put(replace(node, label=new_label))
         return net
 
     # --- structure checks ----------------------------------------------------
@@ -619,7 +653,7 @@ class ConstraintNetwork:
                 functors.add((label.name, 0))
             domain = [parse_term(v) for v in e["domain"]]
             evidence = parse_term(e["evidence"]) if e.get("evidence") else None
-            net, _ = net.add_node(
+            net._add_node(
                 label,
                 domain,
                 e["table"],

@@ -31,7 +31,7 @@ from .terms import (
     is_variant,
     list_items,
     subterms,
-    term_equal,
+    term_sort_key,
     vars_of,
 )
 
@@ -310,11 +310,36 @@ def col_index(parent_value_indices: Iterable[int], parent_sizes: Iterable[int]) 
     return idx
 
 
+def first_repeated(values: list[Term]) -> Optional[Term]:
+    """The first value that occurs again later in values (in the order of
+    first occurrence), or None if all are distinct. Values must be ground."""
+    counts: dict[tuple, int] = {}
+    keys = [term_sort_key(v) for v in values]
+    for k in keys:
+        counts[k] = counts.get(k, 0) + 1
+    return next((v for v, k in zip(values, keys) if counts[k] > 1), None)
+
+
 def cpt_spec_from_term(t: Term, is_skolem: Callable[[Term], bool]) -> CptSpec:
     """Destructure a ground p/3 term, enforcing the deferred shape conditions."""
     if not (isinstance(t, Struct) and t.functor == "p" and t.arity == 3):
         raise MalformedCptError(f"CPT is not p(Domain, Table, Parents): {term_to_text(t)}")
-    d_items = list_items(t.args[0])
+    domain, table = cpt_domain_table(t.args[0], t.args[1], is_skolem)
+    return CptSpec(domain, table, cpt_parents(t.args[2]))
+
+
+def cpt_parents(t: Term) -> tuple[Term, ...]:
+    p_items = list_items(t)
+    if p_items is None:
+        raise MalformedCptError("CPT parent list must be a proper list")
+    return tuple(p_items)
+
+
+def cpt_domain_table(
+    d_term: Term, t_term: Term, is_skolem: Callable[[Term], bool]
+) -> tuple[tuple[Term, ...], tuple[float, ...]]:
+    """The checked domain and table of a CPT from its first two arguments."""
+    d_items = list_items(d_term)
     if d_items is None or not d_items:
         raise MalformedCptError("CPT domain must be a non-empty list")
     for v in d_items:
@@ -322,11 +347,10 @@ def cpt_spec_from_term(t: Term, is_skolem: Callable[[Term], bool]) -> CptSpec:
             raise MalformedCptError(f"domain value not ground: {term_to_text(v)}")
         if any(is_skolem(x) for x in subterms(v)):
             raise MalformedCptError(f"domain value contains a Skolem term: {term_to_text(v)}")
-    for i, v in enumerate(d_items):
-        for w in d_items[i + 1 :]:
-            if term_equal(v, w):
-                raise MalformedCptError(f"duplicate domain value: {term_to_text(v)}")
-    t_items = list_items(t.args[1])
+    dup = first_repeated(d_items)
+    if dup is not None:
+        raise MalformedCptError(f"duplicate domain value: {term_to_text(dup)}")
+    t_items = list_items(t_term)
     if t_items is None or not t_items:
         raise MalformedCptError("CPT table must be a non-empty list")
     table: list[float] = []
@@ -340,10 +364,7 @@ def cpt_spec_from_term(t: Term, is_skolem: Callable[[Term], bool]) -> CptSpec:
         raise MalformedCptError(
             f"table length {len(table)} is not a multiple of domain size {len(d_items)}"
         )
-    p_items = list_items(t.args[2])
-    if p_items is None:
-        raise MalformedCptError("CPT parent list must be a proper list")
-    return CptSpec(tuple(d_items), tuple(table), tuple(p_items))
+    return tuple(d_items), tuple(table)
 
 
 # --- validator ---------------------------------------------------------
@@ -436,19 +457,18 @@ def _check_cpt_shape(
             )
             d_ok = False
         else:
-            for i, v in enumerate(d_items):
-                if any(term_equal(v, w) for w in d_items[i + 1 :]):
-                    out.append(
-                        Diagnostic(
-                            "error",
-                            "WF3a",
-                            f"domain values are not distinct: {term_to_text(v)}",
-                            ci,
-                            clause.line,
-                        )
+            dup = first_repeated(d_items)
+            if dup is not None:
+                out.append(
+                    Diagnostic(
+                        "error",
+                        "WF3a",
+                        f"domain values are not distinct: {term_to_text(dup)}",
+                        ci,
+                        clause.line,
                     )
-                    d_ok = False
-                    break
+                )
+                d_ok = False
             for v in d_items:
                 if is_ground(v) and program.has_skolem_subterm(v):
                     out.append(

@@ -1,17 +1,24 @@
-"""First-order terms, substitutions, and unification.
+"""First-order terms, bindings, and unification.
 
 Terms are variables, constants (atoms), numbers (Python int/float, kept
 distinct), and compound structures. Lists use the usual '.'/2 cons cells
 terminated by the '[]' atom; conjunctions are right-nested ','/2.
-Substitutions are immutable; ``unify`` runs with the occur check, so every
-substitution it builds is acyclic and ``resolve`` (full application) is
-idempotent.
+
+Bindings live in a ``Subst`` and change in place. Each change is logged on
+an undo trail, a list of ``(dict, key, old value)`` entries; ``mark`` and
+``undo`` take the bindings back to an earlier point, as a WAM does on
+backtracking. Other stores (the engine's constraint network) log their
+changes on the same trail, so one ``undo`` restores all of them.
+``unify`` runs with the occur check, so the bindings stay acyclic and
+``resolve`` (full application) is idempotent.
 
 No walk recurses in Python, so a term as deep as a long CPT list is fine.
 Walks are built on three explicit-stack primitives: ``_rebuild`` (resolve,
 rename), ``subterms`` and ``_leaf_pairs`` (equality, variance). Resolving
 or renaming returns unchanged subterms as they are, so ground subterms
-such as CPT lists are shared, not copied.
+such as CPT lists are shared, not copied. A clause the engine renames on
+every try is compiled once (``compile_terms``) into a flat post-order
+code that ``instantiate`` runs without walking its ground subterms.
 """
 
 from __future__ import annotations
@@ -113,6 +120,12 @@ class FreshVars:
     def new(self, name: Optional[str] = None) -> Var:
         return Var(self.next_id(), name)
 
+    def new_many(self, names: list[Optional[str]]) -> list[Var]:
+        """One fresh variable per name, ids in order (as repeated ``new``)."""
+        n = self._next
+        self._next = n + len(names)
+        return [Var(n + i, name) for i, name in enumerate(names)]
+
 
 # --- traversal primitives --------------------------------------------------
 
@@ -180,13 +193,32 @@ def _leaf_equal(x: Term, y: Term) -> bool:
     return (tx is int or tx is float) and x == y
 
 
+# trail entry value for a key that was absent before the change
+_ABSENT = object()
+
+
+def trail_set(trail: list, d: dict, key, value) -> None:
+    """d[key] = value, logged on trail so that ``Subst.undo`` reverts it."""
+    trail.append((d, key, d.get(key, _ABSENT)))
+    d[key] = value
+
+
+def trail_del(trail: list, d: dict, key) -> None:
+    """del d[key], logged on trail so that ``Subst.undo`` reverts it."""
+    trail.append((d, key, d.pop(key)))
+
+
 class Subst:
-    """Immutable variable binding map; ``unify`` returns an extended copy."""
+    """Variable bindings, changed in place and logged on an undo trail.
 
-    __slots__ = ("_m",)
+    The trail may be shared with other stores; ``undo(mark)`` reverts every
+    change logged on it since ``mark()``, whichever store it touched."""
 
-    def __init__(self, m: Optional[dict[int, Term]] = None) -> None:
-        self._m = m or {}
+    __slots__ = ("_m", "trail")
+
+    def __init__(self, trail: Optional[list] = None) -> None:
+        self._m: dict[int, Term] = {}
+        self.trail: list = [] if trail is None else trail
 
     def __len__(self) -> int:
         return len(self._m)
@@ -201,23 +233,53 @@ class Subst:
         return t
 
     def resolve(self, t: Term) -> Term:
-        """Apply the substitution fully. Idempotent for occur-checked substs."""
+        """Apply the bindings fully. Idempotent, as unify keeps them acyclic."""
         return _rebuild(t, self.walk)
 
+    def bind(self, v: Var, t: Term) -> None:
+        """Bind the unbound variable v to t (no occur check)."""
+        self.trail.append((self._m, v.id, _ABSENT))
+        self._m[v.id] = t
 
-EMPTY_SUBST = Subst()
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def undo(self, mark: int) -> None:
+        """Revert every change logged on the trail since mark, newest first."""
+        trail = self.trail
+        while len(trail) > mark:
+            d, key, old = trail.pop()
+            if old is _ABSENT:
+                del d[key]
+            else:
+                d[key] = old
+
+    def bound_since(self, mark: int) -> Iterator[tuple[int, Term]]:
+        """(variable id, term) for each binding made since mark, oldest
+        first, including bindings made while the iteration runs."""
+        trail, m = self.trail, self._m
+        i = mark
+        while i < len(trail):
+            d, key, _old = trail[i]
+            i += 1
+            if d is m:
+                yield key, m[key]
+
+    def snapshot(self) -> "Subst":
+        """A copy of the current bindings with a trail of its own."""
+        out = Subst()
+        out._m = dict(self._m)
+        return out
 
 
-def unify_trail(t1: Term, t2: Term, s: Subst) -> Optional[tuple[Subst, list[tuple[Var, Term]]]]:
-    """Most general unifier with the occur check.
+def unify(t1: Term, t2: Term, s: Subst) -> bool:
+    """Most general unifier with the occur check, bound into s in place.
 
-    Returns (extended substitution, list of bindings added) or None. The
-    trail lets callers react to which variables were bound (the engine uses
-    it to route constrained variables through the network).
-    """
-    trail: list[tuple[Var, Term]] = []
-    out = s  # copied before the first binding
-    walk = s.walk
+    On failure every binding made by the attempt is undone and s is as it
+    was. On success ``s.bound_since(s.mark())`` taken before the call lists
+    the new bindings (the engine routes constrained variables with it)."""
+    m, trail, walk = s._m, s.trail, s.walk
+    mark = len(trail)
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
@@ -231,22 +293,16 @@ def unify_trail(t1: Term, t2: Term, s: Subst) -> Optional[tuple[Subst, list[tupl
             # occur check; of the terms a can be bound to, only a structure can hold a
             occurs = (type(x) is Var and x.id == a.id for x in subterms(b, walk))
             if type(b) is Struct and any(occurs):
-                return None
-            if out is s:
-                out = Subst(dict(s._m))
-                walk = out.walk
-            out._m[a.id] = b
-            trail.append((a, b))
+                s.undo(mark)
+                return False
+            trail.append((m, a.id, _ABSENT))
+            m[a.id] = b
         elif type(a) is type(b) is Struct and a.functor == b.functor and len(a.args) == len(b.args):
             stack.extend(zip(a.args, b.args))
         elif not _leaf_equal(a, b):
-            return None
-    return out, trail
-
-
-def unify(t1: Term, t2: Term, s: Subst = EMPTY_SUBST) -> Optional[Subst]:
-    r = unify_trail(t1, t2, s)
-    return r[0] if r is not None else None
+            s.undo(mark)
+            return False
+    return True
 
 
 # --- walks -------------------------------------------------------------------
@@ -276,17 +332,31 @@ def term_sort_key(t: Term) -> tuple:
     """Total order over ground terms: numbers, then atoms, then structures.
 
     Flat pre-order fields per subterm; no term's key is a proper prefix of
-    another's, so this orders like the nested, argument-by-argument key."""
+    another's, so this orders like the nested, argument-by-argument key.
+    Two terms have equal keys exactly when ``term_equal`` holds, so the key
+    can index terms in a dict: int and float values stay apart, and numbers
+    are kept exact (not rounded through float)."""
+    return _sort_key(t, False)
+
+
+def ground_key(t: Term) -> Optional[tuple]:
+    """``term_sort_key`` of a ground term; None if t holds a variable."""
+    return _sort_key(t, True)
+
+
+def _sort_key(t: Term, ground_only: bool) -> Optional[tuple]:
     key: list = []
     for x in subterms(t):
         tx = type(x)
         if tx is int or tx is float:
-            key += (0, float(x), 0 if tx is int else 1)
+            key += (0, x, 0 if tx is int else 1)
         elif tx is Atom:
             key += (1, x.name)
         elif tx is Struct:
             key += (2, len(x.args), x.functor)
         elif tx is Var:
+            if ground_only:
+                return None
             key += (3, x.id)
         else:
             raise TypeError(f"not a term: {x!r}")
@@ -303,6 +373,66 @@ def is_ground(t: Term) -> bool:
         if type(x) is Var:
             return False
     return True
+
+
+def compile_terms(terms: list[Term]) -> tuple[list[list], list[Optional[str]], list[Term]]:
+    """Precompile terms that share variables for repeated instantiation.
+
+    Returns (codes, variable names, shared subterms). A code lists a term
+    in post-order: an int k stands for a variable slot, k its position in
+    order of first occurrence across terms (left to right, pre-order), and
+    a negative int -1 - j for shared[j], a maximal ground subterm; a pair
+    (functor, arity) builds a structure from the last arity entries.
+    ``instantiate`` runs a code without walking the ground subterms."""
+    slots: dict[int, int] = {}
+    names: list[Optional[str]] = []
+    for v in vars_of(mkconj(terms)) if terms else ():
+        if v.id not in slots:
+            slots[v.id] = len(slots)
+            names.append(v.name)
+    shared: list[Term] = []
+    codes: list[list] = []
+    for t in terms:
+        # descendants come before their ancestors in reversed pre-order
+        ground: dict[int, bool] = {}
+        for x in reversed(list(subterms(t))):
+            tx = type(x)
+            ground[id(x)] = tx is not Var and (
+                tx is not Struct or all(ground[id(a)] for a in x.args)
+            )
+        code: list = []
+        stack: list = [t]
+        while stack:
+            x = stack.pop()
+            if type(x) is tuple:  # a structure whose arguments are done
+                code.append(x)
+            elif type(x) is Var:
+                code.append(slots[x.id])
+            elif ground[id(x)]:
+                shared.append(x)
+                code.append(-len(shared))
+            else:
+                stack.append((x.functor, len(x.args)))
+                stack.extend(reversed(x.args))
+        codes.append(code)
+    return codes, names, shared
+
+
+def instantiate(code: list, fill: list[Term]) -> Term:
+    """Run a code from ``compile_terms``, reading slot k as fill[k].
+
+    fill holds the fresh variables followed by the shared subterms in
+    reverse, so that the negative slot -1 - j reads shared[j]."""
+    stack: list[Term] = []
+    for op in code:
+        if type(op) is int:
+            stack.append(fill[op])
+        else:
+            functor, n = op
+            args = tuple(stack[-n:])
+            del stack[-n:]
+            stack.append(Struct(functor, args))
+    return stack[0]
 
 
 def rename_term(t: Term, mapping: dict[int, Var], fresh: FreshVars) -> Term:

@@ -5,7 +5,9 @@ import pytest
 from clpbn.errors import MalformedCptError, NetworkCycleError
 from clpbn.network import ConstraintNetwork, normalize_columns
 from clpbn.parser import parse_term, term_to_text
-from clpbn.terms import EMPTY_SUBST, Atom, Struct, Var, unify
+from clpbn.engine import Engine
+from clpbn.program import parse_program
+from clpbn.terms import Atom, Struct, Subst, Var, unify
 
 H, L = Atom("h"), Atom("l")
 
@@ -146,29 +148,29 @@ def test_cycle_search_and_order_match_reference_on_random_graphs():
     assert 100 < cyclic < 500
 
 
+# Two nodes whose labels hold a variable at posting time; A = B then routes
+# the binding of two constrained variables through the engine's node merge.
+MERGE_PROGRAM = """
+s_node(V, K) :- {V = s(K) with p([h,l],[0.7,0.3],[])}.
+t_node(V, K) :- {V = t(K) with p([h,l],[0.7,0.3],[])}.
+"""
+
+
 def test_merge_same_label_nodes():
-    net = _net()
-    v1, v2 = Var(101, "A"), Var(102, "B")
-    s = EMPTY_SUBST
-    net, a = net.add_node(parse_term("s(a)"), [H, L], [0.7, 0.3])
-    net.binding[v1.id] = a
-    net, b = net.add_node(parse_term("s(a)"), [H, L], [0.7, 0.3])
-    net.binding[v2.id] = b
-    out = net.unify_constrained(v1, v2, s)
-    assert out is not None
-    merged, _s2, _trail, survivor = out
-    assert len(merged) == 1
-    assert survivor in (a, b)
+    engine = Engine(parse_program(MERGE_PROGRAM))
+    query = "s_node(A, X), s_node(B, Y), X = a, Y = a, A = B."
+    answers = list(engine.solve_text(query))
+    assert len(answers) == 1
+    net = answers[0].network
+    assert len(net) == 1
+    assert answers[0].query_nodes["A"] == answers[0].query_nodes["B"]
+    assert term_to_text(net.nodes[answers[0].query_nodes["A"]].label) == "s(a)"
 
 
 def test_merge_conflicting_labels_fails():
-    net = _net()
-    v1, v2 = Var(103, "A"), Var(104, "B")
-    net, a = net.add_node(parse_term("s(a)"), [H, L], [0.7, 0.3])
-    net.binding[v1.id] = a
-    net, b = net.add_node(parse_term("t(b)"), [H, L], [0.7, 0.3])
-    net.binding[v2.id] = b
-    assert net.unify_constrained(v1, v2, EMPTY_SUBST) is None
+    engine = Engine(parse_program(MERGE_PROGRAM))
+    assert list(engine.solve_text("s_node(A, X), t_node(B, Y), A = B.")) == []
+    assert list(engine.solve_text("s_node(A, a), s_node(B, b), A = B.")) == []
 
 
 def test_restrict_node_domain_conditions_children():
@@ -189,7 +191,8 @@ def test_apply_substitution_specializes_labels():
     x = Var(105, "X")
     label = Struct("s", (x,))
     net, a = net.add_node(label, [H, L], [0.6, 0.4])
-    s = unify(x, Atom("a"))
+    s = Subst()
+    assert unify(x, Atom("a"), s)
     out = net.apply_substitution(s)
     assert out is not None
     assert term_to_text(out.nodes[a].label) == "s(a)"
