@@ -324,7 +324,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--depth", type=_int_at_least(1), default=DEFAULT_DEPTH_LIMIT,
-        help="derivation depth limit in frames (default 10000)",
+        help="recursion depth limit: nested clause calls on one branch (default 10000)",
     )
 
 

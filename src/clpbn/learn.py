@@ -291,11 +291,10 @@ def structural_instances(
             if demanded is not None and not unify(_entity(fc.head, fc.cvar_pos), demanded, theta):
                 continue
             before = len(demands)
-            solutions = _enumerate_clause(fc, analysis, head_tuples, demands, labels, theta)
-            for label, parents, entity in solutions:
-                if not is_ground(label):
-                    continue
-                ltext = term_to_text(label)
+            solutions = _enumerate_clause(
+                fc, analysis, head_tuples, demands, labels, theta, seen[key]
+            )
+            for ltext, label, parents, entity in solutions:
                 if ltext in seen[key]:
                     continue
                 for pv, parent in zip(fc.parent_vars, parents):
@@ -323,10 +322,12 @@ def _enumerate_clause(
     demands: dict[tuple, tuple[tuple[str, int], Term]],
     labels: dict[int, Optional[Term]],
     theta: Subst,
-) -> list[tuple[Term, list[Optional[Term]], Term]]:
-    """Every solution of the clause body under theta, read off as (label,
-    CPT parent labels, head entity arguments), resolved. A parent is None
-    when no defining-clause call in the body binds it.
+    seen: set[str],
+) -> list[tuple[str, Term, list[Optional[Term]], Term]]:
+    """Every solution of the clause body under theta whose label is ground
+    and not in seen, read off as (label text, label, CPT parent labels,
+    head entity arguments), resolved. A parent is None when no
+    defining-clause call in the body binds it.
 
     The body is joined depth first: each goal binds one alternative at a
     time into theta and undoes it before the next, so solutions come in
@@ -336,53 +337,64 @@ def _enumerate_clause(
     goals = fc.body_goals
     # CPT-parent variable id -> parent label pattern in the clause's variables
     parent_map: dict[int, Term] = {}
+    # per goal: (pattern, fact heads to join, callee key for a clause call)
+    plans: list[tuple[Optional[Term], tuple | list, Optional[tuple[str, int]]]] = []
     for goal in goals:
         gkey = _goal_key(goal)
-        if gkey in analysis.facts:
-            continue
         if gkey in analysis.fields:
-            out_var = goal.args[analysis.fields[gkey].cvar_pos]
-            if labels[id(goal)] is not None and isinstance(out_var, Var):
-                parent_map[out_var.id] = labels[id(goal)]
+            callee = analysis.fields[gkey]
+            out_var = goal.args[callee.cvar_pos]
+            pattern = labels[id(goal)]
+            if pattern is not None and isinstance(out_var, Var):
+                parent_map[out_var.id] = pattern
+            entity = None if pattern is None else _entity(goal, callee.cvar_pos)
+            plans.append((entity, (), gkey))
         elif gkey in analysis.skipped:
             raise LearnError(
                 f"clause for {fc.key[0]}/{fc.key[1]} calls {gkey[0]}/{gkey[1]}, "
                 f"which is outside the supported fragment "
                 f"({analysis.skipped[gkey]})"
             )
+        else:  # facts; a predicate with no clauses has no alternatives
+            plans.append((goal, analysis.facts.get(gkey, ()), None))
     demanded: list[list[tuple[tuple[str, int], Term]]] = [[] for _ in goals]
 
     def choices(k: int) -> Iterator[bool]:
-        """Bind each alternative for goal k in turn; unknown goals have none."""
-        mark = theta.mark()
-        goal = goals[k]
-        gkey = _goal_key(goal)
-        pattern, values = goal, analysis.facts.get(gkey, ())
-        if gkey in analysis.fields:
-            if labels[id(goal)] is None:
+        """Bind each alternative for goal k in turn."""
+        pattern, values, callee = plans[k]
+        if callee is not None:
+            if pattern is None:
                 return
-            pattern = _entity(goal, analysis.fields[gkey].cvar_pos)
             args = theta.resolve(pattern)
             if is_ground(args):
-                demanded[k].append((gkey, args))
+                demanded[k].append((callee, args))
                 yield True
                 return
-            values = head_tuples[gkey]
+            values = head_tuples[callee]
+        mark = theta.mark()
         for value in values:
             if unify(pattern, value, theta):
                 yield True
                 theta.undo(mark)
 
     entity = _entity(fc.head, fc.cvar_pos)
+    out = []
 
-    def solution() -> tuple[Term, list[Optional[Term]], Term]:
+    def read_off() -> None:
+        label = theta.resolve(fc.label)
+        if not is_ground(label):
+            return
+        ltext = term_to_text(label)
+        if ltext in seen:
+            return
         parents = [
             theta.resolve(parent_map[pv.id]) if pv.id in parent_map else None
             for pv in fc.parent_vars
         ]
-        return theta.resolve(fc.label), parents, theta.resolve(entity)
+        out.append((ltext, label, parents, theta.resolve(entity)))
 
-    out = [] if goals else [solution()]
+    if not goals:
+        read_off()
     stack = [choices(0)] if goals else []  # one generator per goal entered
     while stack:
         if not next(stack[-1], False):
@@ -390,7 +402,7 @@ def _enumerate_clause(
         elif len(stack) < len(goals):
             stack.append(choices(len(stack)))
         else:
-            out.append(solution())
+            read_off()
     for level in demanded:
         for gkey, args in level:
             demands.setdefault((gkey, term_to_text(args)), (gkey, args))

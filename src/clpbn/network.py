@@ -39,7 +39,7 @@ from .errors import (
     UnconstrainedParentError,
 )
 from .parser import parse_term, term_to_text
-from .program import CptSpec, col_index, column_count
+from .program import CptSpec, Domain, col_index, column_count, value_position
 from .terms import (
     Atom,
     FreshVars,
@@ -89,26 +89,12 @@ def normalize_columns(table: list[float], d: int) -> Optional[list[float]]:
     return out
 
 
-def _domain_index(domain: tuple[Term, ...], value: Term) -> Optional[int]:
-    for i, v in enumerate(domain):
-        if term_equal(v, value):
-            return i
-    return None
-
-
 def _common_values(a: tuple[Term, ...], b: tuple[Term, ...]) -> list[tuple[int, int]]:
     """(i, j) with a[i] equal to b[j], for each value of a that b holds, in
-    a's order. Linear in the domain sizes: a dict of sort keys replaces the
-    pairwise scan once that would take more than a few dozen comparisons."""
+    a's order."""
     if a is b:
         return [(i, i) for i in range(len(a))]
-    if len(a) * len(b) <= 64:
-        pairs = ((i, _domain_index(b, v)) for i, v in enumerate(a))
-    else:
-        pos: dict[tuple, int] = {}
-        for j, w in enumerate(b):
-            pos.setdefault(term_sort_key(w), j)
-        pairs = ((i, pos.get(term_sort_key(v))) for i, v in enumerate(a))
+    pairs = ((i, value_position(b, v)) for i, v in enumerate(a))
     return [(i, j) for i, j in pairs if j is not None]
 
 
@@ -225,7 +211,7 @@ class ConstraintNetwork:
         return net, net._add_node(label, domain, table, parents, evidence, node_id)
 
     def _add_node(self, label, domain, table, parents=(), evidence=None, node_id=None) -> int:
-        domain = tuple(domain)
+        domain = Domain(domain)
         table = tuple(float(x) for x in table)
         parents = tuple(parents)
         for p in parents:
@@ -245,7 +231,7 @@ class ConstraintNetwork:
             raise MalformedCptError(f"node id {nid} already in use")
         ev_idx = None
         if evidence is not None:
-            ev_idx = _domain_index(domain, evidence)
+            ev_idx = value_position(domain, evidence)
             if ev_idx is None:
                 raise MalformedCptError(
                     f"evidence value {term_to_text(evidence)} not in domain"
@@ -263,7 +249,7 @@ class ConstraintNetwork:
 
     def _set_evidence(self, node_id: int, value: Term) -> bool:
         node = self.nodes[node_id]
-        idx = _domain_index(node.domain, value)
+        idx = value_position(node.domain, value)
         if idx is None:
             return False
         if node.evidence is not None:
@@ -464,7 +450,7 @@ class ConstraintNetwork:
                 self._put(replace(child, parents=new_parents))
         survivor = self.nodes[n1]
         if ev_vals:
-            idx = _domain_index(survivor.domain, ev_vals[0])
+            idx = value_position(survivor.domain, ev_vals[0])
             if idx is None:
                 return None
             survivor = replace(survivor, evidence=idx)
@@ -496,7 +482,7 @@ class ConstraintNetwork:
             return True
         if not keep:
             return False
-        new_domain = tuple(node.domain[i] for i in keep)
+        new_domain = Domain(node.domain[i] for i in keep)
         cols = column_count(len(node.table), node.cardinality)
         new_table = [node.table[i * cols + c] for i in keep for c in range(cols)]
         new_table = normalize_columns(new_table, len(keep))

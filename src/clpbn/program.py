@@ -31,6 +31,7 @@ from .terms import (
     is_variant,
     list_items,
     subterms,
+    term_equal,
     term_sort_key,
     vars_of,
 )
@@ -285,11 +286,39 @@ def parse_query(text: str) -> tuple[list[Term], dict[str, Var]]:
 # --- CPT tables --------------------------------------------------------
 
 
+class Domain(tuple):
+    """The distinct ground values of a random variable, in table row order.
+
+    Carries the row index that ``value_position`` builds for it, so that
+    repeated lookups in a wide domain cost one sort key each."""
+
+
+def value_position(domain: tuple[Term, ...], value: Term) -> Optional[int]:
+    """The row of value in domain, or None.
+
+    A short domain is scanned. A longer one is looked up in a dict from
+    each value's ``term_sort_key`` (keys are equal exactly when
+    ``term_equal`` holds) to its row, kept on a ``Domain`` for reuse."""
+    if len(domain) <= 8:
+        for i, v in enumerate(domain):
+            if term_equal(v, value):
+                return i
+        return None
+    rows = getattr(domain, "rows", None)
+    if rows is None:
+        rows = {}
+        for i, v in enumerate(domain):
+            rows.setdefault(term_sort_key(v), i)
+        if isinstance(domain, Domain):
+            domain.rows = rows
+    return rows.get(term_sort_key(value))
+
+
 @dataclass(frozen=True)
 class CptSpec:
     """A ground p(Domain, Table, Parents) payload."""
 
-    domain: tuple[Term, ...]
+    domain: Domain
     table: tuple[float, ...]
     parents: tuple[Term, ...]
 
@@ -337,7 +366,7 @@ def cpt_parents(t: Term) -> tuple[Term, ...]:
 
 def cpt_domain_table(
     d_term: Term, t_term: Term, is_skolem: Callable[[Term], bool]
-) -> tuple[tuple[Term, ...], tuple[float, ...]]:
+) -> tuple[Domain, tuple[float, ...]]:
     """The checked domain and table of a CPT from its first two arguments."""
     d_items = list_items(d_term)
     if d_items is None or not d_items:
@@ -364,7 +393,7 @@ def cpt_domain_table(
         raise MalformedCptError(
             f"table length {len(table)} is not a multiple of domain size {len(d_items)}"
         )
-    return tuple(d_items), tuple(table)
+    return Domain(d_items), tuple(table)
 
 
 # --- validator ---------------------------------------------------------

@@ -17,6 +17,9 @@ iterative versions must report the same cycle and the same order.
 row; `learn._count_tables` must give the same counts and, on an
 out-of-domain cell, the same error.
 
+`find_by_label_scan` is the linear label search that the network's label
+index replaced; `ConstraintNetwork.find_by_label` must return the same id.
+
 `term_equal_recursive`, `is_variant_recursive`, `term_sort_key_recursive`,
 `resolve_recursive` and `rename_term_recursive` are the plain recursive term
 walks; the explicit-stack versions in `clpbn.terms` must give equal results
@@ -187,6 +190,17 @@ def term_equal_recursive(a: Term, b: Term) -> bool:
     return False
 
 
+def find_by_label_scan(net: ConstraintNetwork, label: Term, subst: Subst | None = None):
+    """Lowest id of a node whose label, resolved under subst, equals label."""
+    for nid in sorted(net.nodes):
+        stored = net.nodes[nid].label
+        if subst is not None:
+            stored = resolve_recursive(subst, stored)
+        if term_equal_recursive(stored, label):
+            return nid
+    return None
+
+
 def resolve_recursive(s: Subst, t: Term) -> Term:
     t = s.walk(t)
     if isinstance(t, Struct):
@@ -210,7 +224,7 @@ def rename_term_recursive(t: Term, mapping: dict[int, Var], fresh: FreshVars) ->
 
 def term_sort_key_recursive(t: Term) -> tuple:
     if is_number(t):
-        return (0, float(t), 0 if type(t) is int else 1)
+        return (0, t, 0 if type(t) is int else 1)
     if isinstance(t, Atom):
         return (1, t.name)
     if isinstance(t, Struct):

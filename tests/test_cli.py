@@ -354,6 +354,30 @@ def test_700_value_table_answers_under_every_command(tmp_path):
     assert code == 0 and "v699" in out
 
 
+def test_wide_domain_lookups_are_linear(tmp_path, monkeypatch):
+    # a 1,500-value root and a 3,000-entry child table: domain lookups and
+    # duplicate checks keyed by value, not by comparing every pair
+    import clpbn.terms
+
+    prog = tmp_path / "wide.clpbn"
+    prog.write_text(_wide_program(2, [1500]))
+    calls = [0]
+    original = clpbn.terms.term_equal
+
+    def counted(a, b):
+        calls[0] += 1
+        return original(a, b)
+
+    for module in ("terms", "network", "engine", "inference", "program", "learn"):
+        module = getattr(clpbn, module)
+        if hasattr(module, "term_equal"):
+            monkeypatch.setattr(module, "term_equal", counted)
+    code, out, err = _main_captured(["agree", str(prog), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["agree"]
+    assert calls[0] < 100_000
+
+
 @st.composite
 def _large_input(draw):
     """A program with a wide table, a long list or a long t/2 chain, and one

@@ -120,6 +120,18 @@ def test_depth_limit():
         list(solve(parse_program(text), "loop(a).", depth_limit=50))
 
 
+def test_depth_limit_bounds_recursion_depth_not_steps(hmm_fixed):
+    # caught(100, C) tries about 10,500 clauses but recurses only 102 calls
+    # deep (watch(100) down to watch(0) under caught(100)'s first call)
+    ans = next(Engine(hmm_fixed, depth_limit=400).solve_text("caught(100, C)."))
+    assert len(ans.network) == 202
+    next(Engine(hmm_fixed, depth_limit=102).solve_text("caught(100, C)."))
+    with pytest.raises(LimitExceededError, match="limit of 101 frames"):
+        next(Engine(hmm_fixed, depth_limit=101).solve_text("caught(100, C)."))
+    with pytest.raises(LimitExceededError, match="limit of 50 frames"):
+        list(solve(parse_program("loop(X) :- loop(X).\n"), "loop(a).", depth_limit=50))
+
+
 # --- constraints ------------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 import json
+import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from clpbn.errors import MalformedCptError, NetworkCycleError
 from clpbn.network import ConstraintNetwork, normalize_columns
@@ -212,3 +215,162 @@ def test_json_roundtrip():
         assert n1.parents == n2.parents
         assert n1.evidence == n2.evidence
     assert json.dumps(back.to_json(), sort_keys=True) == text
+
+
+# --- the label index and the undo trail ------------------------------------------
+
+_LABEL_ARGS = [Atom("a"), Atom("b"), 1, 1.0, Var(201, "X"), Var(202, "Y"), Var(203, "Z")]
+_BOUND_TO = [Atom("a"), Atom("b"), 1, 1.0, Var(202, "Y")]
+
+
+def _label(rng):
+    if rng.random() < 0.3:
+        return Struct("t", (rng.choice(_LABEL_ARGS), rng.choice(_LABEL_ARGS)))
+    return Struct("s", (rng.choice(_LABEL_ARGS),))
+
+
+def _ground_labels():
+    ground = [x for x in _LABEL_ARGS if not isinstance(x, Var)]
+    return [Struct("s", (x,)) for x in ground] + [
+        Struct("t", (x, y)) for x in ground for y in ground
+    ]
+
+
+def _index_from_scratch(net):
+    """The label index rebuilt from the nodes: (ground keys -> ids, open ids)."""
+    from clpbn.terms import ground_key
+
+    by_label, open_ids = {}, set()
+    for nid in sorted(net.nodes):
+        key = ground_key(net.nodes[nid].label)
+        if key is None:
+            open_ids.add(nid)
+        else:
+            by_label[key] = by_label.get(key, ()) + (nid,)
+    return by_label, open_ids
+
+
+def _live_store():
+    s = Subst()
+    net = _net()
+    net.trail = s.trail
+    return s, net
+
+
+def test_find_by_label_matches_linear_scan_across_backtracking():
+    import random
+
+    from oracles import find_by_label_scan
+
+    rng = random.Random(11)
+    queries = _ground_labels() + [Struct("s", (Var(201, "X"),))]
+    for _ in range(200):
+        s, net = _live_store()
+        marks = []
+        for step in range(rng.randint(1, 14)):
+            roll = rng.random()
+            if roll < 0.45:
+                net._add_node(_label(rng), [H, L], [0.5, 0.5], node_id=100 + step)
+            elif roll < 0.7:
+                # a later binding can make a stored label ground
+                v = rng.choice([x for x in _LABEL_ARGS if isinstance(x, Var)])
+                unify(v, rng.choice(_BOUND_TO), s)
+            elif roll < 0.85:
+                marks.append(s.mark())
+            elif marks:
+                s.undo(marks.pop())
+            for label in queries:
+                for subst in (s, None):
+                    want = find_by_label_scan(net, label, subst)
+                    assert net.find_by_label(label, subst) == want, (label, subst)
+            by_label, open_ids = _index_from_scratch(net)
+            assert net._by_label == by_label and set(net._open) == open_ids
+
+
+def _spec(rng, parents):
+    from clpbn.program import CptSpec, Domain
+
+    domain = Domain([H, L, Atom("m")][: rng.choice([2, 3])])
+    cols = math.prod(parents)
+    return CptSpec(domain, (1.0 / len(domain),) * (len(domain) * cols), ())
+
+
+def _run_ops(ops, s, net, ids, pool):
+    """Apply post, evidence, restrict, merge and bind operations in place;
+    a failed operation leaves what it changed for the trail to undo."""
+    import random
+
+    from clpbn.errors import ClpbnError
+    from clpbn.program import CptSpec
+
+    for code, seed in ops:
+        rng = random.Random(seed)
+        nids = sorted(net.nodes)
+        try:
+            if code == 0 or not nids:
+                v = ids.new("V")
+                pool.append(v)
+                spec = _spec(rng, [])
+                if nids and rng.random() < 0.4:
+                    parent = rng.choice([p for p in pool if p.id in net.binding] or [None])
+                    if parent is not None:
+                        psize = net.nodes[net.binding[parent.id]].cardinality
+                        base = _spec(rng, [psize])
+                        spec = CptSpec(base.domain, base.table, (parent,))
+                net.post_constraint(v, _label(rng), spec, s, ids)
+            elif code == 1:
+                nid = rng.choice(nids)
+                net._set_evidence(nid, rng.choice([H, L, Atom("m")]))
+            elif code == 2:
+                nid = rng.choice(nids)
+                card = net.nodes[nid].cardinality
+                net._restrict(nid, sorted(rng.sample(range(card), rng.randint(1, card))))
+            elif code == 3 and len(nids) > 1:
+                n1, n2 = rng.sample(nids, 2)
+                net._merge_nodes(n1, n2, s)
+            else:
+                v = rng.choice([x for x in _LABEL_ARGS if isinstance(x, Var)])
+                unify(v, rng.choice(_BOUND_TO), s)
+        except ClpbnError:
+            pass
+
+
+_ops = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 10**6)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops, _ops)
+def test_undo_to_a_mark_restores_store_and_bindings(before, after):
+    from clpbn.terms import FreshVars
+
+    s, net = _live_store()
+    ids, pool = FreshVars(300), []
+    _run_ops(before, s, net, ids, pool)
+    def stores():
+        return net.nodes, net.binding, net._by_label, net._open, s._m
+
+    snapshot = [dict(d) for d in stores()]
+    mark = s.mark()
+    _run_ops(after, s, net, ids, pool)
+    s.undo(mark)
+    assert len(s.trail) == mark
+    for old, now in zip(snapshot, stores()):
+        # the very same objects come back, not just equal ones
+        assert old.keys() == now.keys()
+        assert all(now[k] is v for k, v in old.items())
+    by_label, open_ids = _index_from_scratch(net)
+    assert net._by_label == by_label and set(net._open) == open_ids
+
+
+def test_value_position_keeps_int_and_float_apart():
+    from clpbn.program import Domain, value_position
+
+    for values in ([1, 1.0], [1, 1.0] + [Atom(f"v{i}") for i in range(20)]):
+        for domain in (tuple(values), Domain(values)):
+            assert value_position(domain, 1) == 0
+            assert value_position(domain, 1.0) == 1
+            assert value_position(domain, 2) is None
+            assert value_position(domain, Var(9, "X")) is None
+    wide = Domain(Struct("c", (i,)) for i in range(50))
+    assert value_position(wide, Struct("c", (49,))) == 49
+    assert value_position(wide, Struct("c", (49.0,))) is None

@@ -300,3 +300,57 @@ def test_terms_module_has_no_recursive_function():
                 if isinstance(c, ast.Call)
             }
             assert fn.name not in called, fn.name
+
+
+# --- in-place bindings, the undo trail and compiled terms ------------------------
+
+
+def test_failed_unify_leaves_bindings_as_they_were():
+    s = Subst()
+    assert unify(X, Atom("a"), s)
+    mark = s.mark()
+    # binds Y, then fails on b vs c: the binding of Y must not survive
+    assert not unify(f(Y, Atom("b")), f(Atom("a"), Atom("c")), s)
+    assert s.mark() == mark and s.walk(Y) is Y
+    assert not unify(X, f(X), Subst())  # occur check
+
+
+def test_mark_undo_and_bound_since():
+    s = Subst()
+    unify(X, Atom("a"), s)
+    mark = s.mark()
+    assert unify(f(Y, Z), f(Z, 1), s)
+    assert sorted(vid for vid, _ in s.bound_since(mark)) == [Y.id, Z.id]
+    assert term_equal(s.resolve(Y), 1)
+    snap = s.snapshot()
+    s.undo(mark)
+    assert s.walk(Y) is Y and s.walk(Z) is Z and term_equal(s.resolve(X), Atom("a"))
+    assert term_equal(snap.resolve(Y), 1)  # a snapshot keeps its own bindings
+
+
+@given(st.lists(_mixed_terms, min_size=1, max_size=4))
+def test_compiled_terms_instantiate_like_renaming(terms):
+    from clpbn.terms import compile_terms, instantiate
+
+    codes, names, shared = compile_terms(terms)
+    fresh = FreshVars(100)
+    fill = fresh.new_many(names) + shared[::-1]
+    mapping, renamer = {}, FreshVars(100)
+    renamed = [rename_term(t, mapping, renamer) for t in terms]
+    for code, t, want in zip(codes, terms, renamed):
+        got = instantiate(code, fill)
+        assert term_equal(got, want)
+        if is_ground(t):
+            assert got is t
+    assert [v.id for v in mapping.values()] == list(range(100, 100 + len(names)))
+
+
+def test_compiled_terms_share_ground_subterms():
+    from clpbn.terms import compile_terms, instantiate
+
+    table = mklist([0.5, 0.5, 0.25, 0.75])
+    cpt = Struct("p", (mklist([Atom("t"), Atom("f")]), table, mklist([X])))
+    (code,), names, shared = compile_terms([cpt])
+    out = instantiate(code, FreshVars(7).new_many(names) + shared[::-1])
+    assert out.args[1] is table and out.args[0] is cpt.args[0]
+    assert out.args[2].args[0] == Var(7, "X")
