@@ -237,15 +237,12 @@ class Engine:
     def _start(self) -> tuple[Subst, ConstraintNetwork]:
         """Empty bindings and an empty store that log to one trail."""
         s = Subst()
-        n = self.base_network()
-        n.trail = s.trail
-        return s, n
-
-    def base_network(self) -> ConstraintNetwork:
-        return ConstraintNetwork(
+        n = ConstraintNetwork(
             skolem_functors=set(self.program.skolem_registry),
             skolem_constants=self.program.skolem_constants,
         )
+        n.trail = s.trail
+        return s, n
 
     def _evidence_derivation_goals(self) -> list[Term]:
         """One goal per evidence directive that derives the observed node.

@@ -288,7 +288,8 @@ def structural_instances(
         for key, demanded in jobs:
             fc = analysis.fields[key]
             theta = Subst()
-            if demanded is not None and not unify(_entity(fc.head, fc.cvar_pos), demanded, theta):
+            head = _entity(fc.head, fc.cvar_pos)
+            if demanded is not None and not unify(head, demanded, theta):
                 continue
             before = len(demands)
             solutions = _enumerate_clause(

@@ -152,7 +152,7 @@ class ConstraintNetwork:
             if best is not None and nid > best:
                 continue
             stored = self.nodes[nid].label
-            if term_equal(subst.resolve(stored) if subst else stored, label):
+            if term_equal(stored if subst is None else subst.resolve(stored), label):
                 best = nid
         return best
 

@@ -216,9 +216,9 @@ class Subst:
 
     __slots__ = ("_m", "trail")
 
-    def __init__(self, trail: Optional[list] = None) -> None:
+    def __init__(self) -> None:
         self._m: dict[int, Term] = {}
-        self.trail: list = [] if trail is None else trail
+        self.trail: list = []
 
     def __len__(self) -> int:
         return len(self._m)
@@ -235,11 +235,6 @@ class Subst:
     def resolve(self, t: Term) -> Term:
         """Apply the bindings fully. Idempotent, as unify keeps them acyclic."""
         return _rebuild(t, self.walk)
-
-    def bind(self, v: Var, t: Term) -> None:
-        """Bind the unbound variable v to t (no occur check)."""
-        self.trail.append((self._m, v.id, _ABSENT))
-        self._m[v.id] = t
 
     def mark(self) -> int:
         return len(self.trail)

@@ -62,6 +62,18 @@ def test_wf3a_duplicate_domain_value():
     assert _codes(text) == ["WF3a"]
 
 
+def test_duplicate_domain_value_reports_the_first_repeated():
+    # a and b both repeat; the error names a, whose first copy comes first,
+    # and 1 and 1.0 are different values
+    values = "[a, 1, b, 1.0, b, a]"
+    text = f"d(X) :- {{X = s6(a) with p({values},[0.5,0.5,0,0,0,0],[])}}.\n"
+    (diag,) = _diags(text)
+    assert diag.message == "domain values are not distinct: a"
+    with pytest.raises(MalformedCptError, match="duplicate domain value: a$"):
+        cpt_spec_from_term(parse_term(f"p({values}, [0.5,0.5,0,0,0,0], [])"), lambda t: False)
+    assert _diags("d(X) :- {X = s6(a) with p([1, 1.0],[0.5,0.5],[])}.\n") == []
+
+
 def test_wf3c_non_p_cpt():
     text = "c6(X) :- {X = s7(a) with q([h],[1.0])}.\n"
     assert _codes(text) == ["WF3c"]

@@ -195,7 +195,7 @@ def _chained_subst(draw):
             m[i] = t
     s = Subst()
     for i, t in m.items():
-        s.bind(Var(i, f"V{i}"), t)
+        assert unify(Var(i, f"V{i}"), t, s)
     return s
 
 
