@@ -270,7 +270,8 @@ def test_find_by_label_matches_linear_scan_across_backtracking():
         for step in range(rng.randint(1, 14)):
             roll = rng.random()
             if roll < 0.45:
-                net._add_node(_label(rng), [H, L], [0.5, 0.5], node_id=100 + step)
+                free = [i for i in range(100, 130) if i not in net.nodes]
+                net._add_node(_label(rng), [H, L], [0.5, 0.5], node_id=rng.choice(free))
             elif roll < 0.7:
                 # a later binding can make a stored label ground
                 v = rng.choice([x for x in _LABEL_ARGS if isinstance(x, Var)])
