@@ -127,31 +127,31 @@ class _Compiled:
         codes, names, shared = compile_terms([clause.head, *clause.body])
         n_head = len({v.id for v in vars_of(clause.head)})
         self.head = codes[0]
+        # clause.constraints are the body's constraint goals, in body order
+        constraints = iter(clause.constraints)
+        cpts = [
+            _ground_cpt(next(constraints).cpt, is_skolem)
+            if isinstance(g, Struct) and g.functor == "{}" and g.arity == 1
+            else None
+            for g in clause.body
+        ]
         # (goal code, precompiled CPT), last goal first for consing
-        self.body = [
-            (code, _ground_cpt(g, is_skolem)) for code, g in zip(codes[1:], clause.body)
-        ][::-1]
+        self.body = list(zip(codes[1:], cpts))[::-1]
         self.head_names = names[:n_head]
         self.body_names = names[n_head:]
         self.shared = shared[::-1]  # fill order: see terms.instantiate
 
 
-def _ground_cpt(goal: Term, is_skolem) -> Optional[tuple]:
-    """(domain, table) of a constraint goal whose CPT lists are ground and
-    well formed; None otherwise, leaving every check to posting time."""
+def _ground_cpt(cpt: Term, is_skolem) -> Optional[tuple]:
+    """(domain, table) of a CPT whose first two lists are ground and well
+    formed; None otherwise, leaving every check to posting time."""
     if not (
-        isinstance(goal, Struct)
-        and goal.functor == "{}"
-        and goal.arity == 1
-        and isinstance(goal.args[0], Struct)
-        and goal.args[0].functor == "with"
-        and goal.args[0].arity == 2
+        isinstance(cpt, Struct)
+        and cpt.functor == "p"
+        and cpt.arity == 3
+        and is_ground(cpt.args[0])
+        and is_ground(cpt.args[1])
     ):
-        return None
-    cpt = goal.args[0].args[1]
-    if not (isinstance(cpt, Struct) and cpt.functor == "p" and cpt.arity == 3):
-        return None
-    if not (is_ground(cpt.args[0]) and is_ground(cpt.args[1])):
         return None
     try:
         return cpt_domain_table(cpt.args[0], cpt.args[1], is_skolem)
@@ -374,7 +374,7 @@ class Engine:
                 raise EngineError("goal is an unbound variable")
             if is_number(g):
                 raise EngineError(f"goal is not callable: {term_to_text(g)}")
-            key = (g.functor, g.arity) if isinstance(g, Struct) else (g.name, 0)
+            key = (g.functor, len(g.args)) if type(g) is Struct else (g.name, 0)
             if key == ("!", 0):
                 del alts[barrier:]
                 goals = rest

@@ -225,7 +225,7 @@ class Subst:
 
     def walk(self, t: Term) -> Term:
         """Follow variable bindings shallowly (no descent into structures)."""
-        while isinstance(t, Var):
+        while type(t) is Var:
             b = self._m.get(t.id)
             if b is None:
                 return t
@@ -278,16 +278,21 @@ def unify(t1: Term, t2: Term, s: Subst) -> bool:
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = walk(a)
-        b = walk(b)
+        if a is b:
+            continue
+        if type(a) is Var:
+            a = walk(a)
+        if type(b) is Var:
+            b = walk(b)
         if type(b) is Var and type(a) is not Var:
             a, b = b, a
         if type(a) is Var:
             if type(b) is Var and b.id == a.id:
                 continue
             # occur check; of the terms a can be bound to, only a structure can hold a
-            occurs = (type(x) is Var and x.id == a.id for x in subterms(b, walk))
-            if type(b) is Struct and any(occurs):
+            if type(b) is Struct and any(
+                type(x) is Var and x.id == a.id for x in subterms(b, walk)
+            ):
                 s.undo(mark)
                 return False
             trail.append((m, a.id, _ABSENT))
