@@ -407,8 +407,7 @@ class Engine:
         head = instantiate(clause.head, fill + clause.shared)
         if not unify(head, goal, s) or not self._absorb(s, n, mark):
             return _FAIL
-        if clause.body_names:
-            fill += self.ids.new_many(clause.body_names)
+        fill += self.ids.new_many(clause.body_names)
         fill += clause.shared
         goals = rest
         for code, cpt in clause.body:
