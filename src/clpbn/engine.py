@@ -16,6 +16,18 @@ Clauses are precompiled once per engine: each keeps a code that builds
 a renamed copy while sharing its ground subterms unwalked, and the
 parsed domain and table of each CPT whose lists are ground.
 
+Calls to predicates with a constraint goal in some clause are memoed
+per query, in a table logged on the same trail. A call whose arguments
+are each ground or a variable not bound to a node pushes an exit entry
+after its body; if no alternatives frame younger than the call is left
+there, the call had exactly one answer, and if each of that answer's
+variables is bound to a node with a ground label, the resolved call is
+stored under its variant key. A later variant call unifies with it and
+tries no clauses: its nodes are in the store already, which is where
+re-deriving it would merge them. Backtracking past the call drops the
+entry along with those nodes. A hit draws as many fresh ids as the
+re-derivation would, so node ids do not depend on the memo.
+
 findall/setof run the sub-goal in a nested machine on the same bindings
 and store, snapshot each solution before backtracking, then union the
 solution networks into the caller's store, deduplicating nodes by ground
@@ -58,6 +70,7 @@ from .terms import (
     Term,
     Var,
     compile_terms,
+    ground_key,
     instantiate,
     is_ground,
     is_number,
@@ -66,6 +79,7 @@ from .terms import (
     rename_term,
     term_equal,
     term_sort_key,
+    trail_set,
     unify,
     vars_of,
 )
@@ -106,8 +120,10 @@ def _cons(entries: list, rest=None):
 
 
 # A goal list is a cons-list of entries, None when empty; _FAIL is failure.
-# Entries are ("goal", term, cut barrier, depth, precompiled CPT or None)
-# and ("evidence", variable, value).
+# Entries are ("goal", term, cut barrier, depth, precompiled CPT or None),
+# ("evidence", variable, value) and ("exit", variant key, call, alternatives
+# height at the call, next id at the call, store size at the call, [True]
+# until the exit is first reached).
 _FAIL = False
 
 
@@ -159,6 +175,26 @@ def _ground_cpt(cpt: Term, is_skolem) -> Optional[tuple]:
         return None
 
 
+def _variant_key(key: tuple[str, int], g: Term, s: Subst, n: ConstraintNetwork):
+    """Key shared by the variants of call g, if each of its arguments is
+    ground or a variable not bound to a node; None otherwise. Variables are
+    numbered by first occurrence."""
+    out: list = [key]
+    seen: dict[int, int] = {}
+    for a in g.args if type(g) is Struct else ():
+        w = s.walk(a)
+        if type(w) is Var:
+            if w.id in n.binding:
+                return None
+            out.append(seen.setdefault(w.id, len(seen)))
+            continue
+        k = ground_key(s.resolve(w) if type(w) is Struct else w)
+        if k is None:
+            return None
+        out.append(k)
+    return tuple(out)
+
+
 class Engine:
     """Resolution engine for one program. Reusable across queries; each
     query draws node and variable ids from the shared counter."""
@@ -173,6 +209,9 @@ class Engine:
             if is_ground(label):
                 self.declared_evidence[term_to_text(label)] = value
         self._clauses: dict[tuple[str, int], list[_Compiled]] = {}  # filled on first call
+        # Predicates with a constraint goal in some clause: their calls are
+        # memoed when they exit deterministically (see _solutions).
+        self._memoed = set(program.constraint_defining_predicates())
         # Head argument positions that hold a constraint variable in some
         # clause: a ground query argument there is evidence, not a filter.
         self._evidence_positions: dict[tuple[str, int], set[int]] = {}
@@ -205,16 +244,16 @@ class Engine:
             entries.append(_goal(g2))
             for ev_var, value in ev:
                 entries.append(("evidence", ev_var, value))
-        s, n = self._start()
+        s, n, memo = self._start()
         if self.program.evidence:
             # Declared evidence conditions every query, so the observed
             # nodes must be in the network before the query runs. Derive
             # them once, committing to the first derivation.
             pre_entries = [_goal(g) for g in self._evidence_derivation_goals()]
-            if not next(self._solutions(_cons(pre_entries), s, n), False):
+            if not next(self._solutions(_cons(pre_entries), s, n, memo), False):
                 return
         count = 0
-        for _ in self._solutions(_cons(entries), s, n):
+        for _ in self._solutions(_cons(entries), s, n, memo):
             frozen = n.apply_substitution(s)
             if frozen is None:
                 continue
@@ -234,15 +273,16 @@ class Engine:
             if limit is not None and count >= limit:
                 return
 
-    def _start(self) -> tuple[Subst, ConstraintNetwork]:
-        """Empty bindings and an empty store that log to one trail."""
+    def _start(self) -> tuple[Subst, ConstraintNetwork, dict]:
+        """Empty bindings, an empty store and an empty memo table, all
+        logged on one trail."""
         s = Subst()
         n = ConstraintNetwork(
             skolem_functors=set(self.program.skolem_registry),
             skolem_constants=self.program.skolem_constants,
         )
         n.trail = s.trail
-        return s, n
+        return s, n, {}
 
     def _evidence_derivation_goals(self) -> list[Term]:
         """One goal per evidence directive that derives the observed node.
@@ -302,11 +342,11 @@ class Engine:
         """Union the networks of every solution of every driver goal,
         deduplicating nodes by ground label. Returns the combined network
         and the resolved driver-goal instances (one per solution)."""
-        s, net = self._start()
+        s, net, memo = self._start()
         instances: list[Term] = []
         for g in driver_goals:
             g2 = rename_term(g, {}, self.ids)
-            instances.extend(self._collect(g2, g2, 0, s, net))
+            instances.extend(self._collect(g2, g2, 0, s, net, memo))
         net.trail = []  # the derivations' undo history is not part of the result
         return net, instances
 
@@ -341,9 +381,9 @@ class Engine:
         self._clauses[key] = clauses
         return clauses
 
-    def _solutions(self, goals, s: Subst, n: ConstraintNetwork) -> Iterator[bool]:
+    def _solutions(self, goals, s: Subst, n: ConstraintNetwork, memo: dict) -> Iterator[bool]:
         """Yield True once per solution, with s and n holding it. Once the
-        alternatives run out, s and n are as they were on entry."""
+        alternatives run out, s, n and memo are as they were on entry."""
         base = s.mark()
         # frames: (goal, cut barrier, clauses, next index, rest, trail mark, depth)
         alts: list[tuple] = []
@@ -368,6 +408,10 @@ class Engine:
             if entry[0] == "evidence":
                 goals = self._query_evidence(entry[1], entry[2], rest, s, n)
                 continue
+            if entry[0] == "exit":
+                self._memo_exit(entry, len(alts), s, n, memo)
+                goals = rest
+                continue
             _kind, term, barrier, depth, cpt = entry
             g = s.walk(term)
             if isinstance(g, Var):
@@ -388,14 +432,55 @@ class Engine:
             elif key == ("{}", 1):
                 goals = self._post(g, cpt, rest, s, n)
             elif key in _BUILTIN_KEYS:
-                goals = self._builtin(key, g, depth, rest, s, n)
+                goals = self._builtin(key, g, depth, rest, s, n, memo)
             else:
+                vkey = _variant_key(key, g, s, n) if key in self._memoed else None
+                if vkey is not None:
+                    hit = memo.get(vkey)
+                    # usable while its answer's variables are still unbound
+                    if hit is not None and all(
+                        type(s.walk(v)) is Var for v in vars_of(hit[0])
+                    ):
+                        goals = self._memo_reuse(vkey, hit, g, rest, s, n, memo)
+                        continue
+                    exit_ = ("exit", vkey, g, len(alts), self.ids.peek(), len(n.nodes), [True])
+                    rest = (exit_, rest)
                 clauses = self._clauses.get(key)
                 if clauses is None:
                     clauses = self._compile(key)
                 if clauses:
                     alts.append((g, len(alts), clauses, 0, rest, s.mark(), depth))
                 goals = _FAIL
+
+    def _memo_exit(self, entry, height_now: int, s, n, memo) -> None:
+        """Store the answer of a memoed call that exited deterministically,
+        if each of its variables is bound to a node with a ground label, so
+        that a re-derivation would merge into the same nodes."""
+        _kind, vkey, call, height, ids0, size0, first = entry
+        # Backtracking into the call reaches its exit again, with its later
+        # answers; the first exit with no frame younger than the call left
+        # is its only answer.
+        if not (first and first.pop() and height_now == height):
+            return
+        answer = s.resolve(call)
+        for v in vars_of(answer):
+            nid = n.binding.get(v.id)
+            if nid not in n.nodes or nid in n._open:  # _open: labels not ground
+                return
+        # the ids a re-derivation draws: all but the new nodes', as its
+        # posts merge into them
+        drawn = self.ids.peek() - ids0 - (len(n.nodes) - size0)
+        trail_set(s.trail, memo, vkey, (answer, drawn))
+
+    def _memo_reuse(self, vkey, hit, g, rest, s, n, memo):
+        """Answer call g from its memo entry instead of its clauses."""
+        answer, drawn = hit
+        self.ids.skip(drawn)  # keep ids as a re-derivation would
+        # Bound toward the call's variables, as a clause head's are, and
+        # stored anew so that walks from the entry stay one step long.
+        goals = self._unify_goal(answer, g, rest, s, n)
+        trail_set(s.trail, memo, vkey, (s.resolve(g), drawn))
+        return goals
 
     def _try_clause(self, clause: _Compiled, goal, barrier, depth, rest, s, n):
         if depth + 1 > self.depth_limit:
@@ -500,7 +585,7 @@ class Engine:
 
     # --- builtins ----------------------------------------------------------
 
-    def _builtin(self, key, g, depth, rest, s, n):
+    def _builtin(self, key, g, depth, rest, s, n, memo):
         name, _arity = key
         if name == "true":
             return rest
@@ -525,10 +610,10 @@ class Engine:
             return rest if ok else _FAIL
         if name == "findall":
             template, goal, out = g.args
-            items = self._collect(template, goal, depth, s, n)
+            items = self._collect(template, goal, depth, s, n, memo)
             return self._unify_goal(out, mklist(items), rest, s, n)
         if name == "setof":
-            return self._setof(g, depth, rest, s, n)
+            return self._setof(g, depth, rest, s, n, memo)
         if name == "average":
             return self._average(g, rest, s, n)
         if name == "mean":
@@ -545,12 +630,12 @@ class Engine:
 
     # --- collection (findall / setof) ---------------------------------------
 
-    def _collect(self, template, goal, depth, s, n) -> list[Term]:
+    def _collect(self, template, goal, depth, s, n, memo) -> list[Term]:
         """Run goal to exhaustion, then import every solution's new nodes
         into n; the collected template instances, one per solution."""
         snapshots = [
             (s.snapshot(), n.copy())
-            for _ in self._solutions((_goal(goal, depth), None), s, n)
+            for _ in self._solutions((_goal(goal, depth), None), s, n, memo)
         ]
         return [self._import_branch(n, template, s_i, n_i) for s_i, n_i in snapshots]
 
@@ -603,12 +688,12 @@ class Engine:
                     n._bind(new_var.id, target)
         return item
 
-    def _setof(self, g, depth, rest, s, n):
+    def _setof(self, g, depth, rest, s, n, memo):
         template, goal, out = g.args
         goal = s.walk(goal)
         while isinstance(goal, Struct) and goal.functor == "^" and goal.arity == 2:
             goal = s.walk(goal.args[1])
-        items = self._collect(template, goal, depth, s, n)
+        items = self._collect(template, goal, depth, s, n, memo)
         if not items:
             return _FAIL
         keyed = []

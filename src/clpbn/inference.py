@@ -206,11 +206,21 @@ def _min_degree_order(
 
 
 def _run_elimination(factors: list[Factor], order: Sequence[int]) -> Factor:
+    """Sum out each variable of order in turn, then multiply what is left.
+
+    Live factors are numbered in creation order, and `incident` maps each
+    variable to the numbers of the factors that held it (consumed ones are
+    skipped on lookup), so a bucket is found without scanning every live
+    factor and is multiplied in creation order."""
     scalar = 1.0
-    work = list(factors)
+    work = dict(enumerate(factors))
+    incident: dict[int, list[int]] = {}
+    for i, f in work.items():
+        for v in f.vars:
+            incident.setdefault(v, []).append(i)
+    fresh = len(factors)
     for v in order:
-        bucket = [f for f in work if v in f.vars]
-        work = [f for f in work if v not in f.vars]
+        bucket = [work.pop(i) for i in incident.pop(v, ()) if i in work]
         if not bucket:
             continue
         prod = bucket[0]
@@ -220,9 +230,12 @@ def _run_elimination(factors: list[Factor], order: Sequence[int]) -> Factor:
         if not prod.vars:
             scalar *= float(prod.values)
         else:
-            work.append(prod)
+            work[fresh] = prod
+            for u in prod.vars:
+                incident.setdefault(u, []).append(fresh)
+            fresh += 1
     result = Factor((), np.array(scalar))
-    for f in work:
+    for f in work.values():
         result = _factor_product(result, f)
     return result
 

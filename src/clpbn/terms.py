@@ -117,6 +117,14 @@ class FreshVars:
         self._next = n + 1
         return n
 
+    def peek(self) -> int:
+        """The id the next draw hands out."""
+        return self._next
+
+    def skip(self, k: int) -> None:
+        """Hand out k ids to no one."""
+        self._next += k
+
     def new(self, name: Optional[str] = None) -> Var:
         return Var(self.next_id(), name)
 

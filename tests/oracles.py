@@ -7,7 +7,10 @@ shares no elimination machinery with `inference.marginal` or
 
 `min_degree_order_rescan` is the plain min-degree ordering that rescans
 every scope for every remaining variable; the library's incremental
-ordering must return exactly the same order.
+ordering must return exactly the same order. `run_elimination_scan` finds
+each bucket by scanning every live factor; the library's elimination,
+which keeps a variable-to-factor incidence, must give the same factor
+bit for bit.
 
 `check_acyclic_recursive` and `topological_order_rescan` are the plain
 recursive cycle search and the rescanning topological sort; the network's
@@ -24,6 +27,10 @@ index replaced; `ConstraintNetwork.find_by_label` must return the same id.
 `resolve_recursive` and `rename_term_recursive` are the plain recursive term
 walks; the explicit-stack versions in `clpbn.terms` must give equal results
 (for the sort key, the same order of every pair of terms).
+
+`hmm_chain_forward` is the posterior of `c(n)` in `hmm_fixed.clpbn` by a
+forward recursion over the four (c, p) states; it never builds a network,
+so it checks chains far longer than joint enumeration can.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from clpbn.inference import (
     NodeRef,
     _clamped_factors,
     _expand,
+    _factor_product,
     resolve_node,
 )
 from clpbn.learn import SampleSet, _network, structural_instances
@@ -124,6 +132,29 @@ def min_degree_order_rescan(
         scopes = [s for s in scopes if v not in s]
         scopes.append(neighbors)
     return order
+
+
+def run_elimination_scan(factors: list[Factor], order) -> Factor:
+    """Bucket elimination that scans every live factor for each bucket."""
+    scalar = 1.0
+    work = list(factors)
+    for v in order:
+        bucket = [f for f in work if v in f.vars]
+        work = [f for f in work if v not in f.vars]
+        if not bucket:
+            continue
+        prod = bucket[0]
+        for f in bucket[1:]:
+            prod = _factor_product(prod, f)
+        prod = prod.sum_out(v)
+        if not prod.vars:
+            scalar *= float(prod.values)
+        else:
+            work.append(prod)
+    result = Factor((), np.array(scalar))
+    for f in work:
+        result = _factor_product(result, f)
+    return result
 
 
 def check_acyclic_recursive(net: ConstraintNetwork) -> tuple[bool, list[int]]:
@@ -310,3 +341,34 @@ def count_tables_loop(
                 counts[r, col] += 1.0
         out[key] = (counts, fc, psizes)
     return out
+
+
+def hmm_chain_forward(n: int, evidence: dict[int, str] | None = None) -> tuple[float, float]:
+    """P(c(n) = t), P(c(n) = f) on hmm_fixed.clpbn, given watch evidence
+    {i: "m" or "l"}, by alpha_i = alpha_{i-1} T over the states (c, p).
+
+    p(i) stays with probability 0.8; c(0) is f and p(0) uniform; c(i) is t
+    when c(i-1) is, and otherwise with 0.05 if p(i) is m, 0.001 if l."""
+    evidence = evidence or {}
+    stay = np.array([[0.8, 0.2], [0.2, 0.8]])  # [p(i-1), p(i)], m then l
+    catch = np.array([0.05, 0.001])  # P(c(i) = t | c(i-1) = f, p(i))
+    # state index 2 * c + p, with c = 0 for t and p = 0 for m
+    step = np.zeros((4, 4))
+    for c0 in range(2):
+        for p0 in range(2):
+            for p in range(2):
+                to_t = 1.0 if c0 == 0 else catch[p]
+                step[2 * c0 + p0, p] = stay[p0, p] * to_t
+                step[2 * c0 + p0, 2 + p] = stay[p0, p] * (1.0 - to_t)
+
+    def observe(alpha: np.ndarray, i: int) -> np.ndarray:
+        if i in evidence:
+            keep = 0 if evidence[i] == "m" else 1
+            alpha = alpha * np.array([p == keep for c in range(2) for p in range(2)])
+        return alpha
+
+    alpha = observe(np.array([0.0, 0.0, 0.5, 0.5]), 0)
+    for i in range(1, n + 1):
+        alpha = observe(alpha / alpha.sum() @ step, i)
+    t, f = alpha[:2].sum(), alpha[2:].sum()
+    return float(t / (t + f)), float(f / (t + f))

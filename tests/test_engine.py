@@ -121,8 +121,9 @@ def test_depth_limit():
 
 
 def test_depth_limit_bounds_recursion_depth_not_steps(hmm_fixed):
-    # caught(100, C) tries about 10,500 clauses but recurses only 102 calls
-    # deep (watch(100) down to watch(0) under caught(100)'s first call)
+    # caught(100, C) tries 502 clauses (watch(I-1) is memoed when watch(I)
+    # needs it) and recurses 102 calls deep: caught(100) down to caught(1),
+    # then watch(1) and watch(0), which caught(1) calls first
     ans = next(Engine(hmm_fixed, depth_limit=400).solve_text("caught(100, C)."))
     assert len(ans.network) == 202
     next(Engine(hmm_fixed, depth_limit=102).solve_text("caught(100, C)."))

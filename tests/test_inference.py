@@ -14,6 +14,7 @@ from oracles import (
     enumerate_joint,
     joint_marginal,
     min_degree_order_rescan,
+    run_elimination_scan,
 )
 
 TOL = 1e-9
@@ -160,6 +161,30 @@ def test_min_degree_order_matches_rescan_on_hmm_answer(hmm_fixed):
     ans = next(Engine(hmm_fixed).solve_text("caught(30, C)."))
     assert len(ans.network) > 60
     _assert_same_orders(ans.network)
+
+
+def _assert_same_elimination(net):
+    factors = inference._clamped_factors(net)
+    free = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
+    for eliminate in [free] + [free - {nid} for nid in sorted(free)]:
+        for reverse_ties in (False, True):
+            order = inference._min_degree_order(factors, eliminate, reverse_ties)
+            fast = inference._run_elimination(factors, order)
+            slow = run_elimination_scan(factors, order)
+            assert fast.vars == slow.vars
+            assert np.array_equal(fast.values, slow.values)
+
+
+def test_elimination_matches_scan_on_random_nets():
+    rng = np.random.default_rng(78)
+    for _ in range(100):
+        _assert_same_elimination(random_net(rng))
+
+
+def test_elimination_matches_scan_on_school_and_hmm(school, hmm_fixed):
+    _assert_same_elimination(_school_net(school))
+    ans = next(Engine(hmm_fixed).solve_text("caught(12, C), watch(5, m)."))
+    _assert_same_elimination(ans.network)
 
 
 # --- all marginals in one sweep ---------------------------------------------------
