@@ -183,15 +183,18 @@ def _variant_key(key: tuple[str, int], g: Term, s: Subst, n: ConstraintNetwork):
     seen: dict[int, int] = {}
     for a in g.args if type(g) is Struct else ():
         w = s.walk(a)
-        if type(w) is Var:
+        tw = type(w)
+        if tw is Var:
             if w.id in n.binding:
                 return None
             out.append(seen.setdefault(w.id, len(seen)))
-            continue
-        k = ground_key(s.resolve(w) if type(w) is Struct else w)
-        if k is None:
-            return None
-        out.append(k)
+        elif tw is Struct:
+            k = ground_key(s.resolve(w))
+            if k is None:
+                return None
+            out.append(k)
+        else:
+            out.append((tw, w))  # an atom or a number; 1 and 1.0 differ
     return tuple(out)
 
 

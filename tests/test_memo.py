@@ -284,3 +284,12 @@ def test_hit_does_not_recurse():
         next(Engine(program, depth_limit=62).solve_text("d(P)."))
     with plain_sld():
         next(Engine(program, depth_limit=63).solve_text("d(P)."))
+
+
+def test_int_and_float_arguments_are_different_calls():
+    program = parse_program(
+        "p(1.0, X) :- {X = b with p([t,f], [0.5,0.5], [])}.\n"
+        "p(1, X) :- {X = a with p([t,f], [0.5,0.5], [])}.\n"
+    )
+    ans = next(Engine(program).solve_text("p(1, X), p(1.0, Y)."))
+    assert _labels(ans.network) == ["a", "b"]
