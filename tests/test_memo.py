@@ -234,24 +234,6 @@ def test_answer_with_a_non_ground_label_is_not_memoed(monkeypatch):
     assert len(plain.network) == 2
 
 
-# --- cost ----------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [50, 200])
-def test_chain_query_clause_tries_are_linear(hmm_fixed, monkeypatch, n):
-    tries = _count_tries(monkeypatch)
-    next(Engine(hmm_fixed).solve_text(f"caught({n}, C)."))
-    # N^2 + 5N + 1 without the memo: 2,751 at N = 50
-    assert tries[0] <= 6 * n + 1
-
-
-def test_long_chain_answers_at_the_default_depth_limit(hmm_fixed):
-    ans = next(Engine(hmm_fixed).solve_text("caught(1000, C)."))
-    assert len(ans.network) == 2002
-    m = marginal(ans.network, ans.query_nodes["C"])
-    assert m.probs == pytest.approx(hmm_chain_forward(1000), abs=1e-9, rel=0)
-
-
 def test_memo_whose_answer_was_bound_since_is_not_reused(hmm_fixed):
     query = "watch(3, P), P = m, watch(3, Q)."
     ans = next(Engine(hmm_fixed).solve_text(query))
@@ -260,7 +242,7 @@ def test_memo_whose_answer_was_bound_since_is_not_reused(hmm_fixed):
     _assert_query_agrees(hmm_fixed, query)
 
 
-def test_last_answer_of_a_call_with_several_is_not_memoed(monkeypatch):
+def test_last_answer_of_a_call_with_several_is_not_memoed():
     program = parse_program(
         "v(1, X) :- {X = a(1) with p([t,f], [0.5,0.5], [])}.\n"
         "v(2, X) :- {X = a(2) with p([t,f], [0.5,0.5], [])}.\n"
@@ -293,3 +275,21 @@ def test_int_and_float_arguments_are_different_calls():
     )
     ans = next(Engine(program).solve_text("p(1, X), p(1.0, Y)."))
     assert _labels(ans.network) == ["a", "b"]
+
+
+# --- cost ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_chain_query_clause_tries_are_linear(hmm_fixed, monkeypatch, n):
+    tries = _count_tries(monkeypatch)
+    next(Engine(hmm_fixed).solve_text(f"caught({n}, C)."))
+    # N^2 + 5N + 1 without the memo: 2,751 at N = 50
+    assert tries[0] <= 6 * n + 1
+
+
+def test_long_chain_answers_at_the_default_depth_limit(hmm_fixed):
+    ans = next(Engine(hmm_fixed).solve_text("caught(1000, C)."))
+    assert len(ans.network) == 2002
+    m = marginal(ans.network, ans.query_nodes["C"])
+    assert m.probs == pytest.approx(hmm_chain_forward(1000), abs=1e-9, rel=0)
