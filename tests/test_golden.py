@@ -70,6 +70,12 @@ CASES = {
     "compare_cyclic": ["compare", _input("cyclic_repaired.clpbn"), "cyclic.clpbn", *JSON],
     "compare_cyclic_school": ["compare", _input("fit_school.clpbn"), "cyclic.clpbn", *JSON],
     "compare_cyclic_self": ["compare", "cyclic.clpbn", "cyclic.clpbn", *JSON],
+    "check_school": ["check", "school.clpbn", *JSON],
+    "check_hmm": ["check", "hmm.clpbn", *JSON],
+    "check_hmm_fixed": ["check", "hmm_fixed.clpbn", *JSON],
+    "check_cyclic": ["check", "cyclic.clpbn", *JSON],
+    "check_int_table": ["check", "int_table.clpbn", *JSON],
+    "check_wf3": ["check", _input("check_wf3.clpbn"), *JSON],
 }
 
 
