@@ -14,7 +14,7 @@ nodes, ground bindings become evidence.
 
 Clauses are precompiled once per engine: each keeps a code that builds
 a renamed copy while sharing its ground subterms unwalked, and the
-parsed domain and table of each CPT whose lists are ground.
+checked domain and table of each CPT whose lists are ground.
 
 Calls to predicates with a constraint goal in some clause are memoed
 per query, in a table logged on the same trail. A call whose arguments
@@ -56,9 +56,8 @@ from .parser import term_to_text
 from .program import (
     Clause,
     CptSpec,
+    Domain,
     Program,
-    cpt_domain_table,
-    cpt_parents,
     cpt_spec_from_term,
     parse_query,
 )
@@ -158,21 +157,19 @@ class _Compiled:
         self.shared = shared[::-1]  # fill order: see terms.instantiate
 
 
-def _ground_cpt(cpt: Term, is_skolem) -> Optional[tuple]:
-    """(domain, table) of a CPT whose first two lists are ground and well
-    formed; None otherwise, leaving every check to posting time."""
+def _ground_cpt(cpt: Term, is_skolem) -> Optional[CptSpec]:
+    """The checked spec of a CPT whose domain and table are ground and whose
+    parent list is a proper list; None leaves the whole CPT to posting."""
     if not (
         isinstance(cpt, Struct)
         and cpt.functor == "p"
         and cpt.arity == 3
         and is_ground(cpt.args[0])
         and is_ground(cpt.args[1])
+        and list_items(cpt.args[2]) is not None
     ):
         return None
-    try:
-        return cpt_domain_table(cpt.args[0], cpt.args[1], is_skolem)
-    except MalformedCptError:
-        return None
+    return cpt_spec_from_term(cpt, is_skolem)
 
 
 def _variant_key(key: tuple[str, int], g: Term, s: Subst, n: ConstraintNetwork):
@@ -576,7 +573,7 @@ class Engine:
         if cpt is None:
             spec = cpt_spec_from_term(s.resolve(cpt_t), n.is_skolem_term)
         else:
-            spec = CptSpec(cpt[0], cpt[1], cpt_parents(s.resolve(cpt_t.args[2])))
+            spec = CptSpec(cpt.domain, cpt.table, tuple(list_items(s.resolve(cpt_t.args[2]))))
         mark = s.mark()
         try:
             nid = n.post_constraint(v, label, spec, s, self.ids, self.declared_evidence)
@@ -744,28 +741,17 @@ class Engine:
     def _average(self, g, rest, s, n):
         lst, out = g.args
         pvars, nodes = self._parent_nodes(lst, s, n, "average")
-        for node in nodes:
-            if not all(is_number(x) for x in node.domain):
-                raise AggregatorError(
-                    f"average parent {term_to_text(node.label)} has a non-numeric domain"
-                )
-        combos = list(itertools.product(*[node.domain for node in nodes]))
-        rounded = [_round_half_down(sum(float(x) for x in c) / len(c)) for c in combos]
-        domain = sorted(set(rounded))
-        row = {v: i for i, v in enumerate(domain)}
-        cols = len(combos)
-        table = [0.0] * (len(domain) * cols)
-        for j, r in enumerate(rounded):
-            table[row[r] * cols + j] = 1.0
-        cpt = Struct(
-            "p",
-            (
-                mklist([int(v) for v in domain]),
-                mklist(table),
-                mklist(list(pvars)),
-            ),
+        _require_numeric("average", nodes)
+        # the rounded means that occur, each its own row of an identity field
+        domain = sorted(
+            {
+                _round_half_down(sum(float(x) for x in combo) / len(combo))
+                for combo in itertools.product(*[node.domain for node in nodes])
+            }
         )
-        return self._unify_goal(out, cpt, rest, s, n)
+        identity = tuple(float(r == k) for r in range(len(domain)) for k in range(len(domain)))
+        field = CptSpec(Domain(domain), identity, ())
+        return self._unify_goal(out, _aggregate("mean", pvars, nodes, domain, field), rest, s, n)
 
     def _aggregate_cpt(self, g, rest, s, n):
         op_t, lst, agg_dom_t, field_cpt_t, out = g.args
@@ -786,54 +772,55 @@ class Engine:
                 f"domain has {len(agg_dom)} values"
             )
         if op.name in ("mean", "min", "max"):
-            for node in nodes:
-                if not all(is_number(x) for x in node.domain):
-                    raise AggregatorError(
-                        f"{op.name} parent {term_to_text(node.label)} has a "
-                        "non-numeric domain"
-                    )
-        combos = list(itertools.product(*[node.domain for node in nodes]))
-        cols = len(combos)
-        d_out = len(field.domain)
-        table = [0.0] * (d_out * cols)
-        for j, combo in enumerate(combos):
-            if op.name == "mean":
-                value: Term = _round_half_down(
-                    sum(float(x) for x in combo) / len(combo)
-                )
-            elif op.name == "min":
-                value = min(combo, key=float)
-            elif op.name == "max":
-                value = max(combo, key=float)
-            else:
-                counts: list[tuple[Term, int]] = []
-                for x in combo:
-                    for i, (y, c) in enumerate(counts):
-                        if term_equal(x, y):
-                            counts[i] = (y, c + 1)
-                            break
-                    else:
-                        counts.append((x, 1))
-                top = max(c for _, c in counts)
-                candidates = [y for y, c in counts if c == top]
-                value = min(candidates, key=term_sort_key)
-            k = _agg_index(agg_dom, value)
-            if k is None:
-                raise AggregatorError(
-                    f"aggregate value {term_to_text(value)} is outside the "
-                    "declared aggregate domain"
-                )
-            for r in range(d_out):
-                table[r * cols + j] = field.table[r * len(agg_dom) + k]
-        cpt = Struct(
-            "p",
-            (
-                mklist(list(field.domain)),
-                mklist(table),
-                mklist(list(pvars)),
-            ),
-        )
-        return self._unify_goal(out, cpt, rest, s, n)
+            _require_numeric(op.name, nodes)
+        return self._unify_goal(out, _aggregate(op.name, pvars, nodes, agg_dom, field), rest, s, n)
+
+
+def _require_numeric(what: str, nodes) -> None:
+    for node in nodes:
+        if not all(is_number(x) for x in node.domain):
+            raise AggregatorError(
+                f"{what} parent {term_to_text(node.label)} has a non-numeric domain"
+            )
+
+
+def _aggregate(op: str, pvars, nodes, agg_dom: list, field: CptSpec) -> Struct:
+    """The CPT of an aggregate of the parents' values: for each combination
+    of parent values, the field column of the value op aggregates it to."""
+    combos = list(itertools.product(*[node.domain for node in nodes]))
+    cols = len(combos)
+    d_out = len(field.domain)
+    table = [0.0] * (d_out * cols)
+    for j, combo in enumerate(combos):
+        if op == "mean":
+            value: Term = _round_half_down(sum(float(x) for x in combo) / len(combo))
+        elif op == "min":
+            value = min(combo, key=float)
+        elif op == "max":
+            value = max(combo, key=float)
+        else:
+            counts: list[tuple[Term, int]] = []
+            for x in combo:
+                for i, (y, c) in enumerate(counts):
+                    if term_equal(x, y):
+                        counts[i] = (y, c + 1)
+                        break
+                else:
+                    counts.append((x, 1))
+            top = max(c for _, c in counts)
+            candidates = [y for y, c in counts if c == top]
+            value = min(candidates, key=term_sort_key)
+        k = _agg_index(agg_dom, value)
+        if k is None:
+            raise AggregatorError(
+                f"aggregate value {term_to_text(value)} is outside the "
+                "declared aggregate domain"
+            )
+        for r in range(d_out):
+            table[r * cols + j] = field.table[r * len(agg_dom) + k]
+    return Struct(
+        "p", (mklist(list(field.domain)), mklist(table), mklist(list(pvars)))
+    )
 
 
 def _agg_index(domain: list[Term], value: Term) -> Optional[int]:
@@ -852,39 +839,65 @@ def _round_half_down(m: float) -> int:
 
 
 def _arith(t: Term, s: Subst):
+    """The value of an arithmetic expression. Runs on an explicit stack of
+    subexpressions still to evaluate and operator names (``str``) to apply
+    to the values they left, so a deep expression needs no recursion."""
     t = s.walk(t)
     if is_number(t):
         return t
-    if isinstance(t, Var):
-        raise ArithmeticGoalError("arithmetic on an unbound variable")
-    if isinstance(t, Struct):
-        f, a = t.functor, t.args
-        if f == "-" and t.arity == 1:
-            return -_arith(a[0], s)
-        if f == "+" and t.arity == 1:
-            return _arith(a[0], s)
-        if t.arity == 2 and f in ("+", "-", "*", "/", "//", "mod", "^"):
-            x = _arith(a[0], s)
-            y = _arith(a[1], s)
-            try:
-                if f == "+":
-                    return x + y
-                if f == "-":
-                    return x - y
-                if f == "*":
-                    return x * y
-                if f == "/":
-                    if isinstance(x, int) and isinstance(y, int) and x % y == 0:
-                        return x // y
-                    return x / y
-                if f == "//":
-                    return x // y
-                if f == "mod":
-                    return x % y
-                return x**y
-            except ZeroDivisionError as e:
-                raise ArithmeticGoalError("division by zero") from e
-    raise ArithmeticGoalError(f"not an arithmetic expression: {term_to_text(t)}")
+    if type(t) is Struct and t.arity == 2 and t.functor in _ARITH_OPS:
+        x, y = s.walk(t.args[0]), s.walk(t.args[1])
+        if is_number(x) and is_number(y):  # one operation: the common case
+            return _apply(t.functor, x, y)
+    todo: list = [t]
+    values: list = []
+    while todo:
+        t = todo.pop()
+        if type(t) is str:
+            if t == "neg":
+                values.append(-values.pop())
+            else:
+                y = values.pop()
+                values.append(_apply(t, values.pop(), y))
+            continue
+        t = s.walk(t)
+        if is_number(t):
+            values.append(t)
+        elif isinstance(t, Var):
+            raise ArithmeticGoalError("arithmetic on an unbound variable")
+        elif type(t) is Struct and t.arity == 1 and t.functor == "-":
+            todo += ("neg", t.args[0])
+        elif type(t) is Struct and t.arity == 1 and t.functor == "+":
+            todo.append(t.args[0])
+        elif type(t) is Struct and t.arity == 2 and t.functor in _ARITH_OPS:
+            todo += (t.functor, t.args[1], t.args[0])
+        else:
+            raise ArithmeticGoalError(f"not an arithmetic expression: {term_to_text(t)}")
+    return values[0]
+
+
+_ARITH_OPS = ("+", "-", "*", "/", "//", "mod", "^")
+
+
+def _apply(f: str, x, y):
+    try:
+        if f == "+":
+            return x + y
+        if f == "-":
+            return x - y
+        if f == "*":
+            return x * y
+        if f == "/":
+            if isinstance(x, int) and isinstance(y, int) and x % y == 0:
+                return x // y
+            return x / y
+        if f == "//":
+            return x // y
+        if f == "mod":
+            return x % y
+        return x**y
+    except ZeroDivisionError as e:
+        raise ArithmeticGoalError("division by zero") from e
 
 
 def solve(

@@ -152,10 +152,8 @@ def _clamped_factors(net: ConstraintNetwork) -> list[Factor]:
     return factors
 
 
-def _min_degree_order(
-    factors: list[Factor], eliminate: set[int], reverse_ties: bool
-) -> list[int]:
-    """Greedy min-degree elimination order, ties broken by (reversed) id.
+def _min_degree_order(factors: list[Factor], eliminate: set[int]) -> list[int]:
+    """Greedy min-degree elimination order, ties broken by node id.
 
     `incident` maps each variable to the live scopes containing it, so a
     degree is computed from those scopes alone, and only the neighbours of
@@ -175,8 +173,8 @@ def _min_degree_order(
         out.discard(v)
         return out
 
-    def key(v: int) -> tuple[int, int, int]:
-        return (len(neighbors(v)), -v if reverse_ties else v, v)
+    def key(v: int) -> tuple[int, int]:
+        return (len(neighbors(v)), v)
 
     current = {v: key(v) for v in eliminate}
     heap = list(current.values())
@@ -184,7 +182,7 @@ def _min_degree_order(
     order = []
     while heap:
         entry = heapq.heappop(heap)
-        v = entry[2]
+        v = entry[1]
         if current.get(v) != entry:
             continue
         del current[v]
@@ -240,18 +238,9 @@ def _run_elimination(factors: list[Factor], order: Sequence[int]) -> Factor:
     return result
 
 
-def marginal(
-    net: ConstraintNetwork,
-    node: NodeRef,
-    order: Optional[Sequence[int]] = None,
-    reverse_ties: bool = False,
-) -> Marginal:
-    """Exact posterior marginal of one node given the network's evidence.
-
-    `order` forces an explicit elimination order (it must cover exactly the
-    non-evidence, non-target nodes); otherwise min-degree with ties broken
-    by node id, or by reversed id when `reverse_ties` is set.
-    """
+def marginal(net: ConstraintNetwork, node: NodeRef) -> Marginal:
+    """Exact posterior marginal of one node given the network's evidence,
+    eliminating in min-degree order with ties broken by node id."""
     target = resolve_node(net, node)
     tnode = net.nodes[target]
     factors = _clamped_factors(net)
@@ -262,16 +251,7 @@ def marginal(
     }
     if tnode.evidence is not None:
         eliminate = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
-    if order is not None:
-        if set(order) != eliminate or len(order) != len(set(order)):
-            raise InferenceError(
-                "explicit elimination order must list each non-evidence "
-                "non-target node exactly once"
-            )
-        elim_order = list(order)
-    else:
-        elim_order = _min_degree_order(factors, eliminate, reverse_ties)
-    result = _run_elimination(factors, elim_order)
+    result = _run_elimination(factors, _min_degree_order(factors, eliminate))
 
     if tnode.evidence is not None:
         z = float(result.values)
@@ -298,9 +278,7 @@ def marginal(
     )
 
 
-def all_marginals(
-    net: ConstraintNetwork, reverse_ties: bool = False
-) -> list[Marginal]:
+def all_marginals(net: ConstraintNetwork) -> list[Marginal]:
     """Exact posterior marginal of every node, in `node_ids()` order.
 
     One bucket-elimination sweep serves every node. Each clamped factor
@@ -317,7 +295,7 @@ def all_marginals(
     """
     factors = _clamped_factors(net)
     free = [nid for nid in net.node_ids() if net.nodes[nid].evidence is None]
-    order = _min_degree_order(factors, set(free), reverse_ties)
+    order = _min_degree_order(factors, set(free))
     pos = {v: i for i, v in enumerate(order)}
     z = 1.0
     own: list[list[Factor]] = [[] for _ in order]

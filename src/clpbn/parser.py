@@ -21,7 +21,6 @@ from .terms import (
     Struct,
     Term,
     Var,
-    list_items,
     mklist,
 )
 
@@ -312,34 +311,72 @@ def _float_text(x: float) -> str:
 
 
 def term_to_text(t: Term) -> str:
-    """Canonical text for a term; reparsing yields a structurally equal term."""
-    if isinstance(t, Var):
-        return t.display()
+    """Canonical text for a term; reparsing yields a structurally equal term.
+
+    Runs on an explicit stack of literal pieces (``str``) and compound
+    subterms still to print, so a deeply nested term prints without
+    recursion."""
+    if type(t) is not Struct:
+        return _leaf_text(t)
+    stack = _struct_pieces(t)
+    if Struct not in map(type, stack):
+        return "".join(stack)  # no compound argument: the common case
+    stack.reverse()
+    out: list[str] = []
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+            continue
+        pieces = _struct_pieces(t)
+        if Struct in map(type, pieces):
+            stack += reversed(pieces)
+        else:
+            out += pieces
+    return "".join(out)
+
+
+def _leaf_text(t: Term) -> str:
+    if type(t) is Atom:
+        return _atom_text(t.name)
     if type(t) is int:
         return str(t)
     if type(t) is float:
         return _float_text(t)
-    if isinstance(t, Atom):
-        return _atom_text(t.name)
-    if isinstance(t, Struct):
-        items = list_items(t)
-        if items is not None:
-            return "[" + ", ".join(term_to_text(a) for a in items) + "]"
-        if t.functor == "." and t.arity == 2:
-            # improper list
-            parts = []
-            cur: Term = t
-            while isinstance(cur, Struct) and cur.functor == "." and cur.arity == 2:
-                parts.append(term_to_text(cur.args[0]))
-                cur = cur.args[1]
-            return "[" + ", ".join(parts) + "|" + term_to_text(cur) + "]"
-        if t.functor == "{}" and t.arity == 1:
-            return "{" + term_to_text(t.args[0]) + "}"
-        if t.arity == 2 and t.functor in INFIX_OPS:
-            a, b = t.args
-            return f"({term_to_text(a)} {t.functor} {term_to_text(b)})"
-        if t.arity == 1 and t.functor == "-":
-            return f"-({term_to_text(t.args[0])})"
-        args = ", ".join(term_to_text(a) for a in t.args)
-        return f"{_atom_text(t.functor)}({args})"
+    if type(t) is Var:
+        return t.display()
     raise TypeError(f"not a term: {t!r}")
+
+
+def _piece(t: Term):
+    """A subterm as a piece of its parent's text: compound terms stay terms."""
+    return t if type(t) is Struct else _leaf_text(t)
+
+
+def _struct_pieces(t: Struct) -> list:
+    """The text of t as literal pieces and the compound subterms between them."""
+    if t.functor == "." and t.arity == 2:
+        items: list = []
+        tail: Term = t
+        while type(tail) is Struct and tail.functor == "." and tail.arity == 2:
+            items.append(tail.args[0])
+            tail = tail.args[1]
+        if type(tail) is Atom and tail.name == "[]":
+            return ["[", *_comma_separated(items), "]"]
+        return ["[", *_comma_separated(items), "|", _piece(tail), "]"]
+    if t.functor == "{}" and t.arity == 1:
+        return ["{", _piece(t.args[0]), "}"]
+    if t.arity == 2 and t.functor in INFIX_OPS:
+        return ["(", _piece(t.args[0]), f" {t.functor} ", _piece(t.args[1]), ")"]
+    if t.arity == 1 and t.functor == "-":
+        return ["-(", _piece(t.args[0]), ")"]
+    return [_atom_text(t.functor) + "(", *_comma_separated(t.args), ")"]
+
+
+def _comma_separated(items) -> list:
+    """Items separated by ", ", as one piece if none of them is compound."""
+    if Struct not in map(type, items):
+        return [", ".join(map(_leaf_text, items))]
+    out: list = [", "] * (2 * len(items) - 1)
+    out[::2] = map(_piece, items)
+    return out

@@ -349,51 +349,73 @@ def first_repeated(values: list[Term]) -> Optional[Term]:
     return next((v for v, k in zip(values, keys) if counts[k] > 1), None)
 
 
-def cpt_spec_from_term(t: Term, is_skolem: Callable[[Term], bool]) -> CptSpec:
-    """Destructure a ground p/3 term, enforcing the deferred shape conditions."""
-    if not (isinstance(t, Struct) and t.functor == "p" and t.arity == 3):
-        raise MalformedCptError(f"CPT is not p(Domain, Table, Parents): {term_to_text(t)}")
-    domain, table = cpt_domain_table(t.args[0], t.args[1], is_skolem)
-    return CptSpec(domain, table, cpt_parents(t.args[2]))
+def cpt_violations(cpt: Term, is_skolem: Callable[[Term], bool]) -> list[tuple[str, str]]:
+    """The (code, message) pairs of a CPT term's shape violations.
 
-
-def cpt_parents(t: Term) -> tuple[Term, ...]:
-    p_items = list_items(t)
-    if p_items is None:
-        raise MalformedCptError("CPT parent list must be a proper list")
-    return tuple(p_items)
-
-
-def cpt_domain_table(
-    d_term: Term, t_term: Term, is_skolem: Callable[[Term], bool]
-) -> tuple[Domain, tuple[float, ...]]:
-    """The checked domain and table of a CPT from its first two arguments."""
+    These are the p/3, domain, table and parent-list rules that ``check``
+    applies at load time and posting applies to the bound term, in
+    ``check``'s order. A variable in place of the CPT, its table, a table
+    entry or its parent list stands for a value bound later and is not a
+    violation; the domain must be a ground list even at load time.
+    """
+    if isinstance(cpt, Var):
+        return []
+    if not (isinstance(cpt, Struct) and cpt.functor == "p" and cpt.arity == 3):
+        return [("WF3c", f"CPT must be p(Domain, Table, Parents), found {term_to_text(cpt)}")]
+    d_term, t_term, p_term = cpt.args
+    out: list[tuple[str, str]] = []
     d_items = list_items(d_term)
-    if d_items is None or not d_items:
-        raise MalformedCptError("CPT domain must be a non-empty list")
-    for v in d_items:
-        if not is_ground(v):
-            raise MalformedCptError(f"domain value not ground: {term_to_text(v)}")
-        if any(is_skolem(x) for x in subterms(v)):
-            raise MalformedCptError(f"domain value contains a Skolem term: {term_to_text(v)}")
-    dup = first_repeated(d_items)
-    if dup is not None:
-        raise MalformedCptError(f"duplicate domain value: {term_to_text(dup)}")
+    if d_items is None:
+        out.append(("WF3a", "domain is not a proper list"))
+    elif not d_items:
+        out.append(("WF3a", "domain is empty"))
+    elif not all(is_ground(v) for v in d_items):
+        out.append(("WF3a", "domain is not ground"))
+    else:
+        dup = first_repeated(d_items)
+        if dup is not None:
+            out.append(("WF3a", f"domain values are not distinct: {term_to_text(dup)}"))
+        sk = next((v for v in d_items if any(is_skolem(x) for x in subterms(v))), None)
+        if sk is not None:
+            out.append(("WF3a", f"domain value contains a Skolem term: {term_to_text(sk)}"))
+    if not isinstance(p_term, Var) and list_items(p_term) is None:
+        out.append(("WF3b", "parent list is not a proper list"))
+    if isinstance(t_term, Var):
+        return out
     t_items = list_items(t_term)
-    if t_items is None or not t_items:
-        raise MalformedCptError("CPT table must be a non-empty list")
-    table: list[float] = []
+    if t_items is None:
+        out.append(("WF3c", "table is not a proper list"))
+        return out
+    if not t_items:
+        out.append(("WF3c", "table is empty"))
+        return out
     for x in t_items:
+        if isinstance(x, Var):
+            continue
         if not is_number(x):
-            raise MalformedCptError(f"table entry is not a number: {term_to_text(x)}")
-        if not (0.0 <= float(x) <= 1.0):
-            raise MalformedCptError(f"table entry outside [0,1]: {x}")
-        table.append(float(x))
-    if len(table) % len(d_items) != 0:
-        raise MalformedCptError(
-            f"table length {len(table)} is not a multiple of domain size {len(d_items)}"
+            out.append(("WF3c", f"table entry is not a number: {term_to_text(x)}"))
+        elif not (0.0 <= float(x) <= 1.0):
+            out.append(("WF3c", f"table entry outside [0,1]: {term_to_text(x)}"))
+    if not any(code == "WF3a" for code, _ in out) and len(t_items) % len(d_items):
+        out.append(
+            (
+                "WF3c",
+                f"table length {len(t_items)} is not a multiple of domain size {len(d_items)}",
+            )
         )
-    return Domain(d_items), tuple(table)
+    return out
+
+
+def cpt_spec_from_term(t: Term, is_skolem: Callable[[Term], bool]) -> CptSpec:
+    """The spec of a CPT term at posting time: its first violation, or a
+    part still unbound, is a MalformedCptError."""
+    violations = cpt_violations(t, is_skolem)
+    if violations:
+        raise MalformedCptError(violations[0][1])
+    if isinstance(t, Var) or isinstance(t.args[2], Var) or not is_ground(t.args[1]):
+        raise MalformedCptError(f"CPT is not bound when posted: {term_to_text(t)}")
+    d_items, t_items, p_items = (list_items(a) for a in t.args)
+    return CptSpec(Domain(d_items), tuple(float(x) for x in t_items), tuple(p_items))
 
 
 # --- validator ---------------------------------------------------------
@@ -454,139 +476,30 @@ def _check_cpt_shape(
     con: Constraint,
     tolerance: float,
 ) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
     cpt = con.cpt
-    if isinstance(cpt, Var):
-        return out  # bound at runtime; nothing checkable statically
-    if not (isinstance(cpt, Struct) and cpt.functor == "p" and cpt.arity == 3):
-        out.append(
-            Diagnostic(
-                "error",
-                "WF3c",
-                f"CPT must be p(Domain, Table, Parents), found {term_to_text(cpt)}",
-                ci,
-                clause.line,
-            )
-        )
+    violations = cpt_violations(cpt, program.is_skolem_term)
+    is_p3 = isinstance(cpt, Struct) and cpt.functor == "p" and cpt.arity == 3
+    if is_p3:
+        # A ground parent must be a Skolem term; posting checks bound
+        # parents against the store instead.
+        violations += [
+            ("WF3b", f"parent is not a Skolem-constrained variable: {term_to_text(pv)}")
+            for pv in list_items(cpt.args[2]) or ()
+            if not (isinstance(pv, Var) or (program.is_skolem_term(pv) and is_ground(pv)))
+        ]
+        # codes sort as check lists them: domain, parents, table (stable within)
+        violations.sort(key=lambda v: v[0])
+    out = [Diagnostic("error", code, msg, ci, clause.line) for code, msg in violations]
+    if not is_p3 or any(code == "WF3a" for code, _ in violations):
         return out
-    d_term, t_term, p_term = cpt.args
-    d_items = list_items(d_term)
-    d_ok = False
-    if d_items is None:
-        out.append(
-            Diagnostic(
-                "error", "WF3a", "domain is not a proper list", ci, clause.line
-            )
-        )
-    else:
-        d_ok = True
-        if not all(is_ground(v) for v in d_items):
-            out.append(
-                Diagnostic("error", "WF3a", "domain is not ground", ci, clause.line)
-            )
-            d_ok = False
-        else:
-            dup = first_repeated(d_items)
-            if dup is not None:
-                out.append(
-                    Diagnostic(
-                        "error",
-                        "WF3a",
-                        f"domain values are not distinct: {term_to_text(dup)}",
-                        ci,
-                        clause.line,
-                    )
-                )
-                d_ok = False
-            for v in d_items:
-                if is_ground(v) and program.has_skolem_subterm(v):
-                    out.append(
-                        Diagnostic(
-                            "error",
-                            "WF3a",
-                            f"domain value contains a Skolem term: {term_to_text(v)}",
-                            ci,
-                            clause.line,
-                        )
-                    )
-                    d_ok = False
-                    break
-    p_items = list_items(p_term)
-    if p_items is None and not isinstance(p_term, Var):
-        out.append(
-            Diagnostic(
-                "error", "WF3b", "parent list is not a proper list", ci, clause.line
-            )
-        )
-    elif p_items is not None:
-        for pv in p_items:
-            if isinstance(pv, Var):
-                continue
-            if program.is_skolem_term(pv) and is_ground(pv):
-                continue
-            out.append(
-                Diagnostic(
-                    "error",
-                    "WF3b",
-                    f"parent is not a Skolem-constrained variable: {term_to_text(pv)}",
-                    ci,
-                    clause.line,
-                )
-            )
+    d_term, t_term, _ = cpt.args
+    d = len(list_items(d_term))
     if isinstance(t_term, Var):
-        if d_ok and d_items:
-            out.extend(
-                _scan_fact_bound_tables(program, clause, ci, t_term, len(d_items), tolerance)
-            )
-        return out
+        return out + _scan_fact_bound_tables(program, clause, ci, t_term, d, tolerance)
     t_items = list_items(t_term)
-    if t_items is None:
-        out.append(
-            Diagnostic(
-                "error", "WF3c", "table is not a proper list", ci, clause.line
-            )
-        )
-        return out
-    ground_table = True
-    for x in t_items:
-        if isinstance(x, Var):
-            ground_table = False
-            continue
-        if not is_number(x):
-            out.append(
-                Diagnostic(
-                    "error",
-                    "WF3c",
-                    f"table entry is not a number: {term_to_text(x)}",
-                    ci,
-                    clause.line,
-                )
-            )
-            ground_table = False
-        elif not (0.0 <= float(x) <= 1.0):
-            out.append(
-                Diagnostic(
-                    "error",
-                    "WF3c",
-                    f"table entry outside [0,1]: {term_to_text(x)}",
-                    ci,
-                    clause.line,
-                )
-            )
-    if d_ok and d_items and len(t_items) % len(d_items) != 0:
-        out.append(
-            Diagnostic(
-                "error",
-                "WF3c",
-                f"table length {len(t_items)} is not a multiple of domain size {len(d_items)}",
-                ci,
-                clause.line,
-            )
-        )
-        return out
-    if d_ok and d_items and ground_table:
+    if t_items and all(is_number(x) for x in t_items) and len(t_items) % d == 0:
         table = [float(x) for x in t_items]
-        out.extend(_column_warnings(table, len(d_items), ci, clause.line, "", tolerance))
+        out.extend(_column_warnings(table, d, ci, clause.line, "", tolerance))
     return out
 
 

@@ -107,9 +107,7 @@ def joint_marginal(joint: Factor, net: ConstraintNetwork, node: NodeRef) -> Marg
     )
 
 
-def min_degree_order_rescan(
-    factors: list[Factor], eliminate: set[int], reverse_ties: bool
-) -> list[int]:
+def min_degree_order_rescan(factors: list[Factor], eliminate: set[int]) -> list[int]:
     """Min-degree order by rescanning every scope for every candidate."""
     scopes = [set(f.vars) for f in factors]
     remaining = set(eliminate)
@@ -122,7 +120,7 @@ def min_degree_order_rescan(
                 if v in s:
                     neighbors |= s
             neighbors.discard(v)
-            key = (len(neighbors), -v if reverse_ties else v)
+            key = (len(neighbors), v)
             if best is None or key < best[0]:
                 best = (key, v, neighbors)
         _, v, neighbors = best

@@ -454,6 +454,32 @@ def test_large_inputs_keep_the_exit_code_contract(case):
     assert "Traceback" not in err
 
 
+# A term nested once per resolution step: printing the answer, or
+# evaluating it, goes as deep as the derivation.
+DEEP_TERMS = {
+    "printer": (
+        "build(0, z).\nbuild(N, s(T)) :- N > 0, M is N - 1, build(M, T).\n",
+        "build(400, T).",
+        "T = " + "s(" * 400 + "z" + ")" * 400 + "\n",
+    ),
+    "arithmetic": (
+        "expr(0, 0).\nexpr(N, E + 1) :- N > 0, M is N - 1, expr(M, E).\n",
+        "expr(2000, E), X is E.",
+        "X = 2000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TERMS))
+def test_deep_runtime_terms_keep_the_exit_code_contract(tmp_path, name):
+    text, query, line = DEEP_TERMS[name]
+    prog = tmp_path / "deep.clpbn"
+    prog.write_text(text)
+    code, out, err = _main_captured(["query", str(prog), "-q", query])
+    assert (code, err) == (0, "")
+    assert line in out
+
+
 # --- repl ---------------------------------------------------------------------
 
 

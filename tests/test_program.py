@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clpbn.errors import ClpbnSyntaxError, InvalidProgramError, MalformedCptError
 from clpbn.parser import term_to_text
@@ -69,7 +71,7 @@ def test_duplicate_domain_value_reports_the_first_repeated():
     text = f"d(X) :- {{X = s6(a) with p({values},[0.5,0.5,0,0,0,0],[])}}.\n"
     (diag,) = _diags(text)
     assert diag.message == "domain values are not distinct: a"
-    with pytest.raises(MalformedCptError, match="duplicate domain value: a$"):
+    with pytest.raises(MalformedCptError, match="domain values are not distinct: a$"):
         cpt_spec_from_term(parse_term(f"p({values}, [0.5,0.5,0,0,0,0], [])"), lambda t: False)
     assert _diags("d(X) :- {X = s6(a) with p([1, 1.0],[0.5,0.5],[])}.\n") == []
 
@@ -179,6 +181,53 @@ def test_cpt_spec_rejects_bad_shapes():
     ]
     for text in bad:
         with pytest.raises(MalformedCptError):
+            _spec(text)
+
+
+def _list_text(items, tail=None):
+    return "[" + ", ".join(items) + (f"|{tail}" if tail else "") + "]"
+
+
+_value = st.sampled_from(["a", "b", "1", "1.0", "sv", "f(sv)", "f(a)"])
+_entry = st.sampled_from(["0", "0.5", "1", "1.0", "0.25", "1.5", "-0.5", "x", "f(a)"])
+_improper = st.sampled_from(["oops", "3", "[a|b]"])
+
+
+@st.composite
+def _ground_cpt_text(draw):
+    """A ground CPT term: mostly p/3 with empty, improper, repeating or
+    Skolem-holding domains and empty, out-of-range, non-numeric or
+    wrongly sized tables. sv is the Skolem term the clause introduces."""
+    if draw(st.integers(0, 9)) == 0:
+        return "q([a], [1.0])"
+    domain = draw(st.one_of(st.lists(_value, max_size=3).map(_list_text), _improper))
+    table = draw(st.one_of(st.lists(_entry, max_size=6).map(_list_text), _improper))
+    parents = draw(st.sampled_from(["[]", "[sv]", "oops", "[sv|b]"]))
+    return f"p({domain}, {table}, {parents})"
+
+
+@given(_ground_cpt_text())
+def test_check_and_posting_apply_one_set_of_cpt_rules(text):
+    # validate reports a WF3 error exactly when posting rejects the term,
+    # and both name the same first violation
+    p = parse_program(f"t(X) :- {{X = sv with {text}}}.\n")
+    errors = [d.message for d in p.validate() if d.code.startswith("WF3")]
+    try:
+        cpt_spec_from_term(p.clauses[0].constraints[0].cpt, p.is_skolem_term)
+        raised = None
+    except MalformedCptError as e:
+        raised = str(e)
+    assert raised == (errors[0] if errors else None)
+
+
+def test_empty_domain_and_table_are_errors_at_load_time():
+    assert _codes("e(X) :- {X = ev with p([], [], [])}.\n") == ["WF3a", "WF3c"]
+    assert _codes("f(X) :- {X = fv with p([a], [], [])}.\n") == ["WF3c"]
+
+
+def test_posting_rejects_a_cpt_still_unbound():
+    for text in ("p([h,l],T,[])", "p([h,l],[0.5,W],[])", "p([h,l],[0.5,0.5],Ps)"):
+        with pytest.raises(MalformedCptError, match="not bound when posted"):
             _spec(text)
 
 

@@ -285,21 +285,44 @@ def test_walkers_handle_long_lists_without_recursion():
     assert term_to_text(lst).count(",") == n - 1
 
 
-def test_terms_module_has_no_recursive_function():
+def _calls_by_function(module) -> dict[str, set]:
     import ast
     import inspect
 
+    return {
+        fn.name: {
+            c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
+            for c in ast.walk(fn)
+            if isinstance(c, ast.Call)
+        }
+        for fn in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+
+def _reaches_itself(calls: dict[str, set], name: str) -> bool:
+    seen, todo = set(), list(calls[name])
+    while todo:
+        f = todo.pop()
+        if f == name:
+            return True
+        if f in calls and f not in seen:
+            seen.add(f)
+            todo.extend(calls[f])
+    return False
+
+
+def test_terms_module_has_no_recursive_function():
+    import clpbn.engine
+    import clpbn.parser
     import clpbn.terms
 
-    tree = ast.parse(inspect.getsource(clpbn.terms))
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            called = {
-                c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
-                for c in ast.walk(fn)
-                if isinstance(c, ast.Call)
-            }
-            assert fn.name not in called, fn.name
+    for name, called in _calls_by_function(clpbn.terms).items():
+        assert name not in called, name
+    # the printer and arithmetic do not recurse either, not even through
+    # their helpers
+    assert not _reaches_itself(_calls_by_function(clpbn.parser), "term_to_text")
+    assert not _reaches_itself(_calls_by_function(clpbn.engine), "_arith")
 
 
 # --- in-place bindings, the undo trail and compiled terms ------------------------
