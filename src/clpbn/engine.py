@@ -51,13 +51,14 @@ from .errors import (
     MalformedCptError,
     NetworkCycleError,
 )
-from .network import MERGE_TOLERANCE, ConstraintNetwork
+from .network import ConstraintNetwork, tables_agree
 from .parser import term_to_text
 from .program import (
     Clause,
     CptSpec,
     Domain,
     Program,
+    column_count,
     cpt_spec_from_term,
     parse_query,
 )
@@ -570,15 +571,18 @@ class Engine:
             raise MalformedCptError(
                 f"Skolem term must be an atom or compound: {term_to_text(label)}"
             )
-        if cpt is None:
-            spec = cpt_spec_from_term(s.resolve(cpt_t), n.is_skolem_term)
-        else:
-            spec = CptSpec(cpt.domain, cpt.table, tuple(list_items(s.resolve(cpt_t.args[2]))))
         mark = s.mark()
         try:
+            if cpt is None:
+                spec = cpt_spec_from_term(s.resolve(cpt_t), n.is_skolem_term)
+            else:
+                parents = tuple(list_items(s.resolve(cpt_t.args[2])))
+                spec = CptSpec(cpt.domain, cpt.table, parents)
             nid = n.post_constraint(v, label, spec, s, self.ids, self.declared_evidence)
         except EvidenceConflictError:
             return _FAIL
+        except MalformedCptError as e:  # name the constraint being posted
+            raise type(e)(f"posting {term_to_text(label)}: {e}") from e
         if nid is None or not self._absorb(s, n, mark):
             return _FAIL
         return rest
@@ -660,9 +664,11 @@ class Engine:
                     )
                     and target.parents == parents
                     and len(target.table) == len(node.table)
-                    and all(
-                        math.isclose(a, b, rel_tol=0.0, abs_tol=MERGE_TOLERANCE)
-                        for a, b in zip(target.table, node.table)
+                    and tables_agree(
+                        target.table,
+                        node.table,
+                        [(i, i) for i in range(len(node.domain))],
+                        column_count(len(node.table), len(node.domain)),
                     )
                 )
                 if not same:
@@ -878,26 +884,52 @@ def _arith(t: Term, s: Subst):
 
 _ARITH_OPS = ("+", "-", "*", "/", "//", "mod", "^")
 
+# Results stay printable: an int of this many bits has about 4,200 decimal
+# digits, under Python's default limit of 4,300 for int-to-text conversion.
+_MAX_INT_BITS = 14_000
+
 
 def _apply(f: str, x, y):
+    """One arithmetic operation. A result that could not be printed back as
+    a number (an int too long, an infinite or NaN float, a complex power) is
+    an ArithmeticGoalError, as is division by zero."""
+    if (
+        f == "^"
+        and type(x) is int
+        and type(y) is int
+        and (abs(x).bit_length() - 1) * y > _MAX_INT_BITS
+    ):  # 2^(bits - 1) <= |x|, so the power has at least that many bits
+        raise ArithmeticGoalError(f"integer result over {_MAX_INT_BITS} bits")
     try:
         if f == "+":
-            return x + y
-        if f == "-":
-            return x - y
-        if f == "*":
-            return x * y
-        if f == "/":
+            r = x + y
+        elif f == "-":
+            r = x - y
+        elif f == "*":
+            r = x * y
+        elif f == "/":
             if isinstance(x, int) and isinstance(y, int) and x % y == 0:
-                return x // y
-            return x / y
-        if f == "//":
-            return x // y
-        if f == "mod":
-            return x % y
-        return x**y
+                r = x // y
+            else:
+                r = x / y
+        elif f == "//":
+            r = x // y
+        elif f == "mod":
+            r = x % y
+        else:
+            r = x**y
     except ZeroDivisionError as e:
         raise ArithmeticGoalError("division by zero") from e
+    except OverflowError as e:
+        raise ArithmeticGoalError("float overflow") from e
+    if type(r) is int:
+        if r.bit_length() > _MAX_INT_BITS:
+            raise ArithmeticGoalError(f"integer result over {_MAX_INT_BITS} bits")
+    elif type(r) is complex:
+        raise ArithmeticGoalError("result is not a real number")
+    elif not math.isfinite(r):
+        raise ArithmeticGoalError("float overflow")
+    return r
 
 
 def solve(

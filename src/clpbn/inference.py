@@ -1,11 +1,12 @@
 """Exact inference over constraint networks.
 
-`marginal` runs variable elimination for one node: the node's conditional
-tables become factors, evidence is clamped by slicing, and every other
-free variable is summed out in min-degree order. `all_marginals` answers
-every node at once with one two-pass sweep over the bucket tree that the
-same elimination builds, reusing its messages instead of eliminating once
-per node.
+One bucket-elimination pass, `_eliminate`, picks a min-degree order,
+sums the variables out and keeps each bucket: the nodes' conditional
+tables become factors, and evidence is clamped by slicing first.
+`marginal` runs it over every free node but the target and multiplies
+what is left. `all_marginals` runs it over every free node and then one
+downward pass over the bucket tree it built, reusing its messages instead
+of eliminating once per node.
 
 The module also houses forward sampling (seeded, reproducible, CSV
 output), whole-program grounding over a population of facts, and the
@@ -16,6 +17,7 @@ ground network.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import io
 from dataclasses import dataclass
@@ -152,106 +154,81 @@ def _clamped_factors(net: ConstraintNetwork) -> list[Factor]:
     return factors
 
 
-def _min_degree_order(factors: list[Factor], eliminate: set[int]) -> list[int]:
-    """Greedy min-degree elimination order, ties broken by node id.
+def _eliminate(
+    factors: list[Factor], eliminate: set[int]
+) -> tuple[list[int], list[list[tuple[Optional[int], Factor]]], list[Factor]]:
+    """Bucket elimination of `eliminate`, in min-degree order.
 
-    `incident` maps each variable to the live scopes containing it, so a
-    degree is computed from those scopes alone, and only the neighbours of
-    an eliminated variable are re-keyed; a heap with stale entries skipped
-    on pop picks the smallest (degree, tie) key.
+    The next variable is the one with the smallest key (number of
+    neighbours in the live factors, node id). A heap holds the keys, stale
+    entries are skipped on pop, and only the variables in a new message's
+    scope are re-keyed. `incident` maps each variable to the live factors
+    that held it, numbered in creation order (consumed ones are skipped on
+    lookup), so a bucket is found without scanning every factor and is
+    multiplied in creation order.
+
+    Returns the order; each variable's bucket, as (source, factor) pairs in
+    creation order, where source is the bucket that sent the message or
+    None for a clamped CPT; and the leftover factors: the product of the
+    scalar messages first, then the factors no bucket took.
     """
-    scopes = [set(f.vars) for f in factors]
-    incident: dict[int, set[int]] = {}
-    for sid, s in enumerate(scopes):
-        for v in s:
-            incident.setdefault(v, set()).add(sid)
-
-    def neighbors(v: int) -> set[int]:
-        out: set[int] = set()
-        for sid in incident.get(v, ()):
-            out |= scopes[sid]
-        out.discard(v)
-        return out
+    live: dict[int, tuple[Optional[int], Factor]] = {
+        i: (None, f) for i, f in enumerate(factors)
+    }
+    incident: dict[int, list[int]] = {}
+    for i, (_, f) in live.items():
+        for v in f.vars:
+            incident.setdefault(v, []).append(i)
 
     def key(v: int) -> tuple[int, int]:
-        return (len(neighbors(v)), v)
+        neighbours = set().union(
+            *(live[i][1].vars for i in incident.get(v, ()) if i in live)
+        )
+        neighbours.discard(v)
+        return (len(neighbours), v)
 
     current = {v: key(v) for v in eliminate}
     heap = list(current.values())
     heapq.heapify(heap)
-    order = []
+    order: list[int] = []
+    buckets: list[list[tuple[Optional[int], Factor]]] = []
+    scalar = 1.0
+    fresh = len(factors)
     while heap:
         entry = heapq.heappop(heap)
         v = entry[1]
         if current.get(v) != entry:
             continue
         del current[v]
+        bucket = [live.pop(i) for i in incident.pop(v, ()) if i in live]
         order.append(v)
-        # simulate elimination: the scopes containing v merge into one
-        merged = neighbors(v)
-        for sid in incident.pop(v, ()):
-            for u in scopes[sid]:
-                if u != v:
-                    incident[u].discard(sid)
-        sid = len(scopes)
-        scopes.append(merged)
-        for u in merged:
-            incident[u].add(sid)
+        buckets.append(bucket)
+        msg = functools.reduce(_factor_product, [f for _, f in bucket]).sum_out(v)
+        if not msg.vars:
+            scalar *= float(msg.values)
+            continue
+        live[fresh] = (len(buckets) - 1, msg)
+        for u in msg.vars:
+            incident[u].append(fresh)
             if u in current:
                 current[u] = key(u)
                 heapq.heappush(heap, current[u])
-    return order
-
-
-def _run_elimination(factors: list[Factor], order: Sequence[int]) -> Factor:
-    """Sum out each variable of order in turn, then multiply what is left.
-
-    Live factors are numbered in creation order, and `incident` maps each
-    variable to the numbers of the factors that held it (consumed ones are
-    skipped on lookup), so a bucket is found without scanning every live
-    factor and is multiplied in creation order."""
-    scalar = 1.0
-    work = dict(enumerate(factors))
-    incident: dict[int, list[int]] = {}
-    for i, f in work.items():
-        for v in f.vars:
-            incident.setdefault(v, []).append(i)
-    fresh = len(factors)
-    for v in order:
-        bucket = [work.pop(i) for i in incident.pop(v, ()) if i in work]
-        if not bucket:
-            continue
-        prod = bucket[0]
-        for f in bucket[1:]:
-            prod = _factor_product(prod, f)
-        prod = prod.sum_out(v)
-        if not prod.vars:
-            scalar *= float(prod.values)
-        else:
-            work[fresh] = prod
-            for u in prod.vars:
-                incident.setdefault(u, []).append(fresh)
-            fresh += 1
-    result = Factor((), np.array(scalar))
-    for f in work.values():
-        result = _factor_product(result, f)
-    return result
+        fresh += 1
+    leftovers = [f for _, f in live.values()]
+    return order, buckets, [Factor((), np.array(scalar))] + leftovers
 
 
 def marginal(net: ConstraintNetwork, node: NodeRef) -> Marginal:
-    """Exact posterior marginal of one node given the network's evidence,
-    eliminating in min-degree order with ties broken by node id."""
+    """Exact posterior marginal of one node given the network's evidence:
+    `_eliminate` sums out every other free node, and the leftover factors
+    multiply to the node's unnormalized marginal."""
     target = resolve_node(net, node)
     tnode = net.nodes[target]
-    factors = _clamped_factors(net)
     eliminate = {
-        nid
-        for nid in net.nodes
-        if nid != target and net.nodes[nid].evidence is None
+        nid for nid in net.nodes if nid != target and net.nodes[nid].evidence is None
     }
-    if tnode.evidence is not None:
-        eliminate = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
-    result = _run_elimination(factors, _min_degree_order(factors, eliminate))
+    _, _, leftovers = _eliminate(_clamped_factors(net), eliminate)
+    result = functools.reduce(_factor_product, leftovers)
 
     if tnode.evidence is not None:
         z = float(result.values)
@@ -281,42 +258,21 @@ def marginal(net: ConstraintNetwork, node: NodeRef) -> Marginal:
 def all_marginals(net: ConstraintNetwork) -> list[Marginal]:
     """Exact posterior marginal of every node, in `node_ids()` order.
 
-    One bucket-elimination sweep serves every node. Each clamped factor
-    hangs on the bucket of its earliest-eliminated variable (min-degree
-    order, ties as in `marginal`). The upward pass eliminates bucket by
-    bucket and sends each message to the bucket of the earliest-eliminated
-    variable in its scope, so the buckets form a tree (a forest when the
-    network is disconnected), and the messages reaching the roots multiply
-    to the evidence probability. The downward pass sends each child the
+    One bucket-elimination sweep serves every node. The upward pass is
+    `_eliminate` over every free node, the same pass `marginal` runs: each
+    clamped factor lands in the bucket of its earliest-eliminated variable
+    and each message in the bucket of the earliest-eliminated variable in
+    its scope, so the buckets form a tree (a forest when the network is
+    disconnected), and the leftovers multiply to the evidence
+    probability. The downward pass sends each child the
     product of everything else in its parent's bucket, summed down to the
     child's separator. That is the Shafer-Shenoy form, which never divides,
     so tables with zeros are safe. A bucket's belief, summed down to its
     variable, is that node's marginal.
     """
-    factors = _clamped_factors(net)
-    free = [nid for nid in net.node_ids() if net.nodes[nid].evidence is None]
-    order = _min_degree_order(factors, set(free))
-    pos = {v: i for i, v in enumerate(order)}
-    z = 1.0
-    own: list[list[Factor]] = [[] for _ in order]
-    for f in factors:
-        if f.vars:
-            own[min(pos[v] for v in f.vars)].append(f)
-        else:
-            z *= float(f.values)
-
-    # upward: inbox[i] holds (child bucket, message) pairs
-    inbox: list[list[tuple[int, Factor]]] = [[] for _ in order]
-    for i, v in enumerate(order):
-        prod = None
-        for f in own[i] + [m for _, m in inbox[i]]:
-            prod = _times(prod, f)
-        msg = prod.sum_out(v)
-        if msg.vars:
-            inbox[min(pos[u] for u in msg.vars)].append((i, msg))
-        else:
-            z *= float(msg.values)
-    if z <= 0.0:
+    free = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
+    order, buckets, leftovers = _eliminate(_clamped_factors(net), free)
+    if float(functools.reduce(_factor_product, leftovers).values) <= 0.0:
         raise InconsistentEvidenceError(
             "the network's evidence has zero probability"
         )
@@ -326,14 +282,15 @@ def all_marginals(net: ConstraintNetwork) -> list[Marginal]:
     down: list[Optional[Factor]] = [None] * len(order)
     probs: dict[int, tuple[float, ...]] = {}
     for i in reversed(range(len(order))):
-        msgs = [m for _, m in inbox[i]]
-        suffix: list[Optional[Factor]] = [None] * (len(msgs) + 1)
-        for j in reversed(range(len(msgs))):
-            suffix[j] = _times(msgs[j], suffix[j + 1])
+        inbox = [(src, m) for src, m in buckets[i] if src is not None]
+        suffix: list[Optional[Factor]] = [None] * (len(inbox) + 1)
+        for j in reversed(range(len(inbox))):
+            suffix[j] = _times(inbox[j][1], suffix[j + 1])
         prefix = down[i]
-        for f in own[i]:
-            prefix = _times(f, prefix)
-        for j, (child, msg) in enumerate(inbox[i]):
+        for src, f in buckets[i]:
+            if src is None:
+                prefix = _times(f, prefix)
+        for j, (child, msg) in enumerate(inbox):
             rest = _times(prefix, suffix[j + 1])
             if rest is not None:
                 down[child] = _sum_to(rest, msg.vars)

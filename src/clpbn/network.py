@@ -98,6 +98,19 @@ def _common_values(a: tuple[Term, ...], b: tuple[Term, ...]) -> list[tuple[int, 
     return [(i, j) for i, j in pairs if j is not None]
 
 
+def tables_agree(
+    a: tuple[float, ...], b: tuple[float, ...], pairs: list[tuple[int, int]], cols: int
+) -> bool:
+    """Whether row i of table a and row j of table b agree within
+    MERGE_TOLERANCE in each of their `cols` columns, for every (i, j) in
+    pairs."""
+    return all(
+        math.isclose(a[i * cols + c], b[j * cols + c], rel_tol=0.0, abs_tol=MERGE_TOLERANCE)
+        for i, j in pairs
+        for c in range(cols)
+    )
+
+
 class ConstraintNetwork:
     """Mapping of node ids to nodes plus variable-to-node bindings."""
 
@@ -318,7 +331,7 @@ class ConstraintNetwork:
         if len(spec.table) != expected:
             raise MalformedCptError(
                 f"table length {len(spec.table)} does not match domain x parents "
-                f"({expected}) for {term_to_text(label)}"
+                f"({expected})"
             )
 
         target: Optional[int] = None
@@ -382,12 +395,8 @@ class ConstraintNetwork:
         if node.domain is not spec.domain or node.table is not spec.table:
             # Align the new table's rows to the surviving values and compare.
             cols = column_count(len(node.table), node.cardinality)
-            for i, j in pairs:
-                for c in range(cols):
-                    a = node.table[i * cols + c]
-                    b = spec.table[j * cols + c]
-                    if not math.isclose(a, b, rel_tol=0.0, abs_tol=MERGE_TOLERANCE):
-                        return False
+            if not tables_agree(node.table, spec.table, pairs, cols):
+                return False
         if len(pairs) != node.cardinality:
             if not self._restrict(target, [i for i, _ in pairs]):
                 return False
@@ -416,17 +425,8 @@ class ConstraintNetwork:
             return None
         cols_a = column_count(len(a.table), a.cardinality)
         cols_b = column_count(len(b.table), b.cardinality)
-        if cols_a != cols_b:
+        if cols_a != cols_b or not tables_agree(a.table, b.table, pairs, cols_a):
             return None
-        for i, j in pairs:
-            for c in range(cols_a):
-                if not math.isclose(
-                    a.table[i * cols_a + c],
-                    b.table[j * cols_b + c],
-                    rel_tol=0.0,
-                    abs_tol=MERGE_TOLERANCE,
-                ):
-                    return None
         # Evidence compatibility under the intersected domain.
         ev_vals = []
         for node in (a, b):

@@ -6,11 +6,12 @@ shares no elimination machinery with `inference.marginal` or
 `inference.all_marginals`, which makes it a good cross-check for both.
 
 `min_degree_order_rescan` is the plain min-degree ordering that rescans
-every scope for every remaining variable; the library's incremental
-ordering must return exactly the same order. `run_elimination_scan` finds
-each bucket by scanning every live factor; the library's elimination,
-which keeps a variable-to-factor incidence, must give the same factor
-bit for bit.
+every scope for every remaining variable; the order that
+`inference._eliminate` reports must be exactly the same.
+`run_elimination_scan` finds each bucket by scanning every live factor,
+and takes any order; the product of `_eliminate`'s leftovers, which it
+finds through a variable-to-factor incidence, must equal its result bit
+for bit.
 
 `check_acyclic_recursive` and `topological_order_rescan` are the plain
 recursive cycle search and the rescanning topological sort; the network's

@@ -480,6 +480,54 @@ def test_deep_runtime_terms_keep_the_exit_code_contract(tmp_path, name):
     assert line in out
 
 
+# Results that could not be printed back as numbers stop the query with
+# exit 1 (an int power is refused before it is computed); results just
+# inside those limits still answer.
+ARITHMETIC_LIMITS = {
+    "X is 10.0 ^ 400.": (1, "error: float overflow\n"),
+    "X is 1.0e308 * 10.0.": (1, "error: float overflow\n"),
+    "X is 10 ^ 400 / 3.": (1, "error: float overflow\n"),
+    "X is (0 - 8) ^ 0.5.": (1, "error: result is not a real number\n"),
+    "X is 2 ^ 100000.": (1, "error: integer result over 14000 bits\n"),
+    "X is 10 ^ 10 ^ 10.": (1, "error: integer result over 14000 bits\n"),
+    "X is 2 ^ 10000 * 2 ^ 10000.": (1, "error: integer result over 14000 bits\n"),
+    "X is 2 ^ 13000, Y is X mod 7.": (0, "Y = 2\n"),
+    "X is 1 ^ 10 ^ 10.": (0, "X = 1\n"),
+    "X is (0 - 2) ^ 3.": (0, "X = -8\n"),
+    "X is 2.0 ^ 1000.": (0, "X = 1.0715086071862673e+301\n"),
+}
+
+
+@pytest.mark.parametrize("query", sorted(ARITHMETIC_LIMITS))
+def test_arithmetic_limits_keep_the_exit_code_contract(tmp_path, query):
+    prog = tmp_path / "one.clpbn"
+    prog.write_text("f(1).\n")
+    code, out, err = _main_captured(["query", str(prog), "-q", query])
+    want_code, want = ARITHMETIC_LIMITS[query]
+    if want_code:
+        assert (code, out, err) == (1, "", want)
+    else:
+        assert (code, err) == (0, "")
+        assert want in out
+
+
+def test_posting_errors_name_the_constraint(tmp_path):
+    # CPTs computed by body goals pass `check`; posting rejects them and
+    # names the Skolem label it was posting
+    prog = tmp_path / "computed.clpbn"
+    prog.write_text(
+        "c(p([a,a],[0.5,0.5],[])).\n"
+        "k(X) :- c(C), {X = kv with C}.\n"
+        "q(a).\n"
+        "u(X) :- q(Y), {X = uv(Y) with p([a,b],[0.5,0.5,0.5,0.5],[Y])}.\n"
+    )
+    for query, err_line in [
+        ("k(X).", "error: posting kv: domain values are not distinct: a\n"),
+        ("u(X).", "error: posting uv(a): parent is not a constrained variable: a\n"),
+    ]:
+        assert _main_captured(["query", str(prog), "-q", query]) == (2, "", err_line)
+
+
 # --- repl ---------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from clpbn.engine import Engine, solve
 from clpbn.errors import (
     ArithmeticGoalError,
     EngineError,
+    FindallMergeError,
     LimitExceededError,
     UnconstrainedParentError,
 )
@@ -209,6 +210,23 @@ def test_unconstrained_parent_raises():
     text = "bad(X, Y) :- {X = b1(a) with p([h,l],[0.5,0.5],[Y])}.\n"
     with pytest.raises(UnconstrainedParentError):
         list(solve(parse_program(text), "bad(X, Y)."))
+
+
+def test_findall_merges_derivations_whose_tables_agree():
+    # two derivations post kv; tables within the merge tolerance give one
+    # node, tables further apart stop the collection
+    text = """
+t(1, p([a,b],[0.5,0.5],[])).
+t(2, p([a,b],[{x},{y}],[])).
+k(X) :- t(_, C), {{X = kv with C}}.
+all(L) :- findall(X, k(X), L).
+"""
+    close = parse_program(text.format(x=0.5 + 1e-12, y=0.5 - 1e-12))
+    ans = next(Engine(close).solve_text("all(L)."))
+    assert len(ans.network) == 1
+    apart = parse_program(text.format(x=0.6, y=0.4))
+    with pytest.raises(FindallMergeError, match="disagree about kv"):
+        next(Engine(apart).solve_text("all(L)."))
 
 
 def test_recursive_chain_builds_all_nodes(hmm_fixed):

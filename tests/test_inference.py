@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,7 @@ def test_ve_matches_joint_on_school(school):
 
 def _marginal_in_order(net, target, order):
     """The normalized marginal of target, eliminating the other nodes in order."""
-    factors = inference._clamped_factors(net)
-    result = inference._run_elimination(factors, order)
+    result = run_elimination_scan(inference._clamped_factors(net), order)
     assert result.vars == (target,)
     return tuple(result.values / result.values.sum())
 
@@ -144,13 +145,19 @@ def test_random_nets_ve_vs_joint():
 # --- elimination order -------------------------------------------------------------
 
 
-def _assert_same_orders(net):
+def _eliminations(net):
+    """The clamped factors, and every free set `marginal` and `all_marginals`
+    eliminate: all free nodes, then all but each one."""
     factors = inference._clamped_factors(net)
     free = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
-    eliminations = [free] + [free - {nid} for nid in sorted(free)]
+    return factors, [free] + [free - {nid} for nid in sorted(free)]
+
+
+def _assert_same_orders(net):
+    factors, eliminations = _eliminations(net)
     for eliminate in eliminations:
-        fast = inference._min_degree_order(factors, eliminate)
-        assert fast == min_degree_order_rescan(factors, eliminate)
+        order, _, _ = inference._eliminate(factors, eliminate)
+        assert order == min_degree_order_rescan(factors, eliminate)
 
 
 def test_min_degree_order_matches_rescan_on_random_nets():
@@ -170,11 +177,11 @@ def test_min_degree_order_matches_rescan_on_hmm_answer(hmm_fixed):
 
 
 def _assert_same_elimination(net):
-    factors = inference._clamped_factors(net)
-    free = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
-    for eliminate in [free] + [free - {nid} for nid in sorted(free)]:
-        order = inference._min_degree_order(factors, eliminate)
-        fast = inference._run_elimination(factors, order)
+    factors, eliminations = _eliminations(net)
+    for eliminate in eliminations:
+        order, buckets, leftovers = inference._eliminate(factors, eliminate)
+        assert len(buckets) == len(order)
+        fast = functools.reduce(inference._factor_product, leftovers)
         slow = run_elimination_scan(factors, order)
         assert fast.vars == slow.vars
         assert np.array_equal(fast.values, slow.values)
@@ -289,17 +296,19 @@ def test_all_marginals_zero_mass_column():
 def test_all_marginals_orders_once(school, monkeypatch):
     net = _school_net(school)
     calls = []
-    original = inference._min_degree_order
+    original = inference._eliminate
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "_min_degree_order", counting)
+    monkeypatch.setattr(inference, "_eliminate", counting)
     inference.all_marginals(net)
     assert len(calls) == 1
     inference.all_marginals(_observe_forward_sample(net, np.random.default_rng(5), 2))
     assert len(calls) == 2
+    inference.marginal(net, net.node_ids()[0])
+    assert len(calls) == 3
 
 
 # --- sampling ---------------------------------------------------------------------
