@@ -33,6 +33,10 @@ from .terms import FreshVars, Struct, Term, is_ground, mkconj, term_equal
 
 NodeRef = Union[int, str, Term]
 
+# 1,100 observed fair coins have probability 2**-1100, below the smallest
+# float; a power of two rescales a product exactly (see _product_in_range)
+_TINY, _LIFT = 2.0 ** -500, 2.0 ** 500
+
 
 # --- factors ----------------------------------------------------------------
 
@@ -169,8 +173,8 @@ def _eliminate(
 
     Returns the order; each variable's bucket, as (source, factor) pairs in
     creation order, where source is the bucket that sent the message or
-    None for a clamped CPT; and the leftover factors: the product of the
-    scalar messages first, then the factors no bucket took.
+    None for a clamped CPT; and the leftover factors: a unit scalar and
+    the scalar messages first, then the factors no bucket took.
     """
     live: dict[int, tuple[Optional[int], Factor]] = {
         i: (None, f) for i, f in enumerate(factors)
@@ -192,7 +196,7 @@ def _eliminate(
     heapq.heapify(heap)
     order: list[int] = []
     buckets: list[list[tuple[Optional[int], Factor]]] = []
-    scalar = 1.0
+    scalars = [Factor((), np.array(1.0))]
     fresh = len(factors)
     while heap:
         entry = heapq.heappop(heap)
@@ -205,7 +209,7 @@ def _eliminate(
         buckets.append(bucket)
         msg = functools.reduce(_factor_product, [f for _, f in bucket]).sum_out(v)
         if not msg.vars:
-            scalar *= float(msg.values)
+            scalars.append(msg)
             continue
         live[fresh] = (len(buckets) - 1, msg)
         for u in msg.vars:
@@ -215,7 +219,7 @@ def _eliminate(
                 heapq.heappush(heap, current[u])
         fresh += 1
     leftovers = [f for _, f in live.values()]
-    return order, buckets, [Factor((), np.array(scalar))] + leftovers
+    return order, buckets, scalars + leftovers
 
 
 def marginal(net: ConstraintNetwork, node: NodeRef) -> Marginal:
@@ -228,7 +232,7 @@ def marginal(net: ConstraintNetwork, node: NodeRef) -> Marginal:
         nid for nid in net.nodes if nid != target and net.nodes[nid].evidence is None
     }
     _, _, leftovers = _eliminate(_clamped_factors(net), eliminate)
-    result = functools.reduce(_factor_product, leftovers)
+    result = _product_in_range(leftovers)
 
     if tnode.evidence is not None:
         z = float(result.values)
@@ -272,7 +276,7 @@ def all_marginals(net: ConstraintNetwork) -> list[Marginal]:
     """
     free = {nid for nid in net.nodes if net.nodes[nid].evidence is None}
     order, buckets, leftovers = _eliminate(_clamped_factors(net), free)
-    if float(functools.reduce(_factor_product, leftovers).values) <= 0.0:
+    if float(_product_in_range(leftovers).values) <= 0.0:
         raise InconsistentEvidenceError(
             "the network's evidence has zero probability"
         )
@@ -306,6 +310,17 @@ def all_marginals(net: ConstraintNetwork) -> list[Marginal]:
                 1.0 if i == node.evidence else 0.0 for i in range(node.cardinality)
             )
         out.append(Marginal(nid, node.label, node.domain, probs[nid]))
+    return out
+
+
+def _product_in_range(factors: list[Factor]) -> Factor:
+    """The product of factors, left to right, times _LIFT whenever its largest
+    entry falls below _TINY; callers only normalize it or test it for zero."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = _factor_product(out, f)
+        if 0.0 < out.values.max() < _TINY:
+            out = Factor(out.vars, out.values * _LIFT)
     return out
 
 
@@ -346,11 +361,11 @@ def sample(net: ConstraintNetwork, n: int, seed: int) -> tuple[list[int], np.nda
             out[:, j] = node.evidence
             continue
         d = node.cardinality
-        table = node_factor(net, node).values.reshape(d, -1)
+        cum = np.cumsum(node_factor(net, node).values.reshape(d, -1), axis=0)
         col = np.zeros(n, dtype=np.int64)
         for p, size in zip(node.parents, net.parent_sizes(node)):
             col = col * size + out[:, col_of[p]]
-        cum = np.cumsum(table[:, col], axis=0)  # shape (d, n)
+        cum = cum[:, col]  # shape (d, n)
         draws = rng.random(n)
         out[:, j] = np.minimum((draws[None, :] >= cum).sum(axis=0), d - 1)
     return order, out
@@ -364,7 +379,7 @@ def sample_csv(net: ConstraintNetwork, n: int, seed: int) -> str:
     writer.writerow(term_to_text(net.nodes[nid].label) for nid in order)
     # each domain value is printed once; the sampled indices pick the texts
     columns = [
-        np.array([term_to_text(v) for v in net.nodes[nid].domain], dtype=object)[rows[:, j]]
+        np.array([term_to_text(v) for v in net.nodes[nid].domain], dtype=object)[rows[:, j]].tolist()
         for j, nid in enumerate(order)
     ]
     writer.writerows(zip(*columns) if columns else [()] * n)

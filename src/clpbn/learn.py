@@ -11,7 +11,8 @@ The structural grounding covers a deliberately simple clause fragment:
 one defining clause per random-variable functor, a literal p/3 table,
 body goals that are either facts or calls to other defining clauses.
 Clauses outside the fragment (computed tables, aggregation, arithmetic)
-are left untouched by fitting and ignored by scoring.
+are left untouched by fitting and ignored by scoring. A ``SampleSet`` is
+encoded once, when it is built, and every count reads that encoding.
 
 The structural grounder runs on the engine's term layer: a clause body is
 joined depth first on one ``terms.Subst``, bound by ``terms.unify`` and
@@ -60,11 +61,16 @@ from .terms import (
 
 @dataclass
 class SampleSet:
-    """Rectangular table of printed node labels and printed domain values."""
+    """Rectangular table of printed node labels and printed domain values,
+    encoded when built and not to be changed after: ``texts[j]`` lists
+    column j's distinct cells in first-seen order, and
+    ``texts[j][codes[j, i]] == rows[i][j]``."""
 
     columns: list[str]
     rows: list[list[str]]
     provenance: dict = field(default_factory=dict)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    texts: list[list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for r in self.rows:
@@ -73,6 +79,15 @@ class SampleSet:
                     f"ragged sample row: {len(r)} cells, "
                     f"{len(self.columns)} columns"
                 )
+        # the first column of a repeated name wins, as with list.index
+        self._column_of = {c: j for j, c in reversed(list(enumerate(self.columns)))}
+        n = len(self.rows)
+        self.codes = np.zeros((len(self.columns), n), dtype=np.int32)
+        self.texts = [[] for _ in self.columns]
+        for j, cells in enumerate(zip(*self.rows)):
+            code = {t: i for i, t in enumerate(dict.fromkeys(cells))}
+            self.codes[j] = np.fromiter(map(code.__getitem__, cells), np.int32, n)
+            self.texts[j] = list(code)
 
     @classmethod
     def from_csv(cls, text: str, provenance: Optional[dict] = None) -> "SampleSet":
@@ -92,12 +107,11 @@ class SampleSet:
         return buf.getvalue()
 
     def column(self, label_text: str) -> int:
-        try:
-            return self.columns.index(label_text)
-        except ValueError:
-            raise LearnError(
-                f"sample set has no column for {label_text}"
-            ) from None
+        """Position of the first column named label_text."""
+        j = self._column_of.get(label_text)
+        if j is None:
+            raise LearnError(f"sample set has no column for {label_text}")
+        return j
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -278,14 +292,26 @@ def structural_instances(
     # text-keyed so repeat demands are cheap; values are the entity arguments
     demands: dict[tuple, tuple[tuple[str, int], Term]] = {}
 
+    # semi-naive: a job (a clause, or one demand) reads nothing that grows but
+    # its callees' instances, so it reruns only once one of them has grown
+    callees = {
+        key: {_goal_key(g) for g in fc.body_goals} & insts.keys()
+        for key, fc in analysis.fields.items()
+    }
+    ran: dict[tuple, tuple[int, ...]] = {}  # job -> its callees' sizes then
+
     changed = True
     while changed:
         changed = False
-        jobs: list[tuple[tuple[str, int], Optional[Term]]] = [
-            (key, None) for key in analysis.fields
+        jobs: list[tuple[tuple, tuple[str, int], Optional[Term]]] = [
+            (key, key, None) for key in analysis.fields
         ]
-        jobs.extend(demands.values())
-        for key, demanded in jobs:
+        jobs.extend((job, key, args) for job, (key, args) in demands.items())
+        for job, key, demanded in jobs:
+            sizes = tuple(len(insts[k]) for k in callees[key])
+            if ran.get(job) == sizes:
+                continue
+            ran[job] = sizes
             fc = analysis.fields[key]
             theta = Subst()
             head = _entity(fc.head, fc.cvar_pos)
@@ -476,17 +502,17 @@ def _count_tables(
         term_to_text(n.label): n for n in net.nodes.values()
     }
     # one parent column serves many instances: index each column once
-    indexed: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
+    indexed: dict[tuple[str, tuple[str, ...]], tuple[np.ndarray, bool]] = {}
 
-    def domain_indices(label: str, domain: tuple[Term, ...]) -> np.ndarray:
-        """Domain index of each cell of label's column; -1 outside the domain."""
+    def domain_indices(label: str, domain: tuple[Term, ...]) -> tuple[np.ndarray, bool]:
+        """Domain index of each cell of label's column, -1 outside the
+        domain, and whether every cell is inside."""
         texts = tuple(map(term_to_text, domain))
         if (label, texts) not in indexed:
             j = samples.column(label)
             pos = {t: i for i, t in enumerate(texts)}
-            indexed[label, texts] = np.array(
-                [pos.get(row[j], -1) for row in samples.rows], dtype=np.int64
-            )
+            lookup = np.array([pos.get(t, -1) for t in samples.texts[j]], dtype=np.int64)
+            indexed[label, texts] = (lookup[samples.codes[j]], -1 not in lookup)
         return indexed[label, texts]
 
     out: dict[tuple[str, int], tuple[np.ndarray, _FieldClause, list[int]]] = {}
@@ -497,26 +523,27 @@ def _count_tables(
         psizes = [
             len(label_to_node[term_to_text(p)].domain) for p in first.parents
         ]
-        counts = np.zeros((len(fc.domain), math.prod(psizes)))
+        flats = []
         for inst in insts[key]:
             label = term_to_text(inst.label)
-            cells = [(label, domain_indices(label, fc.domain))] + [
-                (p, domain_indices(p, label_to_node[p].domain))
+            cells = [(label, *domain_indices(label, fc.domain))] + [
+                (p, *domain_indices(p, label_to_node[p].domain))
                 for p in map(term_to_text, inst.parents)
             ]
-            bad = np.any([idx < 0 for _, idx in cells], axis=0)
-            if bad.any():
+            if not all(inside for _, _, inside in cells):
                 # the first bad row; in it, the child before its parents
-                i = int(bad.argmax())
-                k = next(k for k, (_, idx) in enumerate(cells) if idx[i] < 0)
+                i = int(np.any([idx < 0 for _, idx, _ in cells], axis=0).argmax())
+                k = next(k for k, (_, idx, _) in enumerate(cells) if idx[i] < 0)
                 value = samples.rows[i][samples.column(cells[k][0])]
                 where = "the domain" if k == 0 else "a parent domain"
                 raise LearnError(f"value {value!r} is outside {where} of {label}")
             flat = cells[0][1]  # row-major (value, parent 1, ..., parent k)
-            for (_, idx), size in zip(cells[1:], psizes):
+            for (_, idx, _), size in zip(cells[1:], psizes):
                 flat = flat * size + idx
-            counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-        out[key] = (counts, fc, psizes)
+            flats.append(flat)
+        shape = (len(fc.domain), math.prod(psizes))
+        counts = np.bincount(np.concatenate(flats), minlength=math.prod(shape))
+        out[key] = (counts.reshape(shape).astype(float), fc, psizes)
     return out
 
 

@@ -79,6 +79,17 @@ class Token:
     col: int
 
 
+def _number(t: Token) -> int | float:
+    """The value of an int or float token, which the type must hold."""
+    try:
+        value = int(t.text) if t.kind == "int" else float(t.text)
+    except ValueError:
+        raise ClpbnSyntaxError("integer literal has too many digits", t.line, t.col) from None
+    if value == float("inf"):
+        raise ClpbnSyntaxError("float literal out of range", t.line, t.col)
+    return value
+
+
 def _unquote(s: str) -> str:
     body = s[1:-1].replace("''", "'")
     return (
@@ -181,10 +192,8 @@ class _Reader:
 
     def read_primary(self, maxp: int) -> tuple[Term, int]:
         t = self.next()
-        if t.kind == "int":
-            return int(t.text), 0
-        if t.kind == "float":
-            return float(t.text), 0
+        if t.kind in ("int", "float"):
+            return _number(t), 0
         if t.kind == "var":
             if t.text == "_":
                 return self.fresh.new("_"), 0
@@ -211,12 +220,9 @@ class _Reader:
                 return Atom("!"), 0
             if t.text == "-":
                 nxt = self.peek()
-                if nxt.kind == "int":
+                if nxt.kind in ("int", "float"):
                     self.next()
-                    return -int(nxt.text), 0
-                if nxt.kind == "float":
-                    self.next()
-                    return -float(nxt.text), 0
+                    return -_number(nxt), 0
                 p, _typ = PREFIX_OPS["-"]
                 arg = self.read_term(p)
                 return Struct("-", (arg,)), p

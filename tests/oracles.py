@@ -17,9 +17,15 @@ for bit.
 recursive cycle search and the rescanning topological sort; the network's
 iterative versions must report the same cycle and the same order.
 
-`count_tables_loop` counts learning tables with one Python step per sample
-row; `learn._count_tables` must give the same counts and, on an
-out-of-domain cell, the same error.
+`count_rows` counts learning tables with one Python step per sample row,
+reading the printed cells; `learn._count_tables`, which counts the
+sample set's integer encoding, must give the same counts and, on a
+missing column or an out-of-domain cell, the same error.
+
+`structural_instances_naive` reruns every clause and every demand in each
+round until a round finds nothing new; the semi-naive
+`learn.structural_instances` must return the same instance lists in the
+same order.
 
 `find_by_label_scan` is the linear label search that the network's label
 index replaced; `ConstraintNetwork.find_by_label` must return the same id.
@@ -50,11 +56,32 @@ from clpbn.inference import (
     _factor_product,
     resolve_node,
 )
-from clpbn.learn import SampleSet, _network, structural_instances
+from clpbn.learn import (
+    SampleSet,
+    _analyze,
+    _callee_label,
+    _entity,
+    _enumerate_clause,
+    _goal_key,
+    _Instance,
+    _network,
+    structural_instances,
+)
 from clpbn.network import ConstraintNetwork
 from clpbn.parser import term_to_text
-from clpbn.program import Program
-from clpbn.terms import Atom, FreshVars, Struct, Subst, Term, Var, is_number
+from clpbn.program import Program, with_population
+from clpbn.terms import (
+    Atom,
+    FreshVars,
+    Struct,
+    Subst,
+    Term,
+    Var,
+    is_ground,
+    is_number,
+    unify,
+    vars_of,
+)
 
 JOINT_STATE_LIMIT = 2 ** 24
 
@@ -286,7 +313,7 @@ def is_variant_recursive(a: Term, b: Term) -> bool:
     return go(a, b)
 
 
-def count_tables_loop(
+def count_rows(
     program: Program,
     population: Iterable[Term],
     samples: SampleSet,
@@ -340,6 +367,62 @@ def count_tables_loop(
                 counts[r, col] += 1.0
         out[key] = (counts, fc, psizes)
     return out
+
+
+def structural_instances_naive(program: Program, population: Iterable[Term] = ()):
+    """Instances by rounds that rerun every clause and every demand until
+    one round adds no instance and no demand."""
+    prog = with_population(program, population)
+    analysis = _analyze(prog)
+    rules = [(fc, g) for fc in analysis.fields.values() for g in fc.body_goals]
+    top = max(
+        (v.id for fc, g in rules for t in (fc.head, fc.label, g) for v in vars_of(t)),
+        default=-1,
+    )
+    fresh = FreshVars(top + 1)
+    labels = {
+        id(g): _callee_label(g, analysis.fields[_goal_key(g)], fresh)
+        for _, g in rules
+        if _goal_key(g) in analysis.fields
+    }
+    insts = {key: [] for key in analysis.fields}
+    seen = {key: set() for key in analysis.fields}
+    head_tuples = {key: [] for key in analysis.fields}
+    demands: dict = {}
+    changed = True
+    while changed:
+        changed = False
+        jobs = [(key, None) for key in analysis.fields]
+        jobs.extend(demands.values())
+        for key, demanded in jobs:
+            fc = analysis.fields[key]
+            theta = Subst()
+            head = _entity(fc.head, fc.cvar_pos)
+            if demanded is not None and not unify(head, demanded, theta):
+                continue
+            before = len(demands)
+            solutions = _enumerate_clause(
+                fc, analysis, head_tuples, demands, labels, theta, seen[key]
+            )
+            for ltext, label, parents, entity in solutions:
+                if ltext in seen[key]:
+                    continue
+                for pv, parent in zip(fc.parent_vars, parents):
+                    if parent is None:
+                        raise LearnError(
+                            f"clause for {key[0]}/{key[1]}: CPT parent "
+                            f"{pv.display()} is not bound by a defining-"
+                            "clause call in the body"
+                        )
+                if not all(is_ground(p) for p in parents):
+                    continue
+                seen[key].add(ltext)
+                insts[key].append(_Instance(label, tuple(parents)))
+                head_tuples[key].append(entity)
+                changed = True
+            if len(demands) != before:
+                changed = True
+    return insts, analysis
 
 
 def hmm_chain_forward(n: int, evidence: dict[int, str] | None = None) -> tuple[float, float]:

@@ -378,11 +378,37 @@ def test_wide_domain_lookups_are_linear(tmp_path, monkeypatch):
     assert calls[0] < 100_000
 
 
+# number literals that no int or float holds, with the syntax error each gives
+BAD_LITERALS = {
+    "1.0e999": "float literal out of range",
+    "-1.0e999": "float literal out of range",
+    "9" * 5000: "integer literal has too many digits",
+    "-" + "9" * 5000: "integer literal has too many digits",
+}
+
+
+@pytest.mark.parametrize("literal", sorted(BAD_LITERALS))
+@pytest.mark.parametrize("where", ["program", "query"])
+def test_unrepresentable_literals_are_syntax_errors(tmp_path, literal, where):
+    prog = tmp_path / "lit.clpbn"
+    col = 5 + literal.startswith("-")
+    if where == "program":
+        prog.write_text(f"f(1).\nbig({literal}).\n")
+        query, line = "big(X).", 2
+    else:
+        prog.write_text("f(1).\n")
+        query, line = f"X = {literal}.", 1
+    code, out, err = _main_captured(["query", str(prog), "-q", query])
+    assert (code, out) == (2, "")
+    assert err == f"error: line {line}:{col}: {BAD_LITERALS[literal]}\n"
+
+
 @st.composite
 def _large_input(draw):
-    """A program with a wide table, a long list or a long t/2 chain, and one
-    command line to run on it."""
-    kind = draw(st.sampled_from(["wide", "list", "chain"]))
+    """A program with a wide table, a long list, a long t/2 chain or a
+    number literal no int or float holds, and one command line to run on
+    it."""
+    kind = draw(st.sampled_from(["wide", "list", "chain", "literal"]))
     if kind == "wide":
         child = draw(st.integers(2, 4))
         parents = draw(
@@ -419,6 +445,12 @@ def _large_input(draw):
                  ["query", "-q", "items([e0|T]).", "--limit", "2"]]
             )
         )
+    elif kind == "literal":
+        literal = draw(st.sampled_from(sorted(BAD_LITERALS)))
+        if draw(st.booleans()):
+            text, argv = f"big({literal}).\n", ["query", "-q", "big(X)."]
+        else:
+            text, argv = "f(1).\n", ["query", "-q", f"X = {literal}."]
     else:
         text = (
             "t(0, X) :- !, {X = t(0) with p([a, b], [0.5, 0.5], [])}.\n"

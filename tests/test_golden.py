@@ -79,6 +79,15 @@ CASES = {
 }
 
 
+# fit and score on a sample too large to commit: 5,000 rows drawn by the CLI
+# with a fixed seed, written where the test can read it back
+LARGE_SAMPLE = ["sample", "school.clpbn", "-n", "5000", "--seed", "5", *SCHOOL]
+LARGE_CASES = {
+    "fit_school_5000": ["fit", "school.clpbn", *JSON],
+    "score_school_5000": ["score", "school.clpbn", *JSON],
+}
+
+
 def run_case(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -99,6 +108,19 @@ def repaired_cyclic() -> str:
 def test_cli_output_is_byte_identical(name):
     want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert run_case(CASES[name]) == want
+
+
+@pytest.fixture(scope="module")
+def large_sample(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("samples") / "school_5000.csv"
+    path.write_text(_stdout_of(run_case(LARGE_SAMPLE)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CASES))
+def test_learning_on_a_large_sample_is_byte_identical(name, large_sample):
+    want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert run_case(LARGE_CASES[name] + ["--samples", large_sample]) == want
 
 
 def test_remove_cycles_output_is_byte_identical():
@@ -134,6 +156,14 @@ def regenerate() -> None:
         if name == "fit_school":
             program = json.loads(_stdout_of(text))["program"]
             (GOLDEN / "fit_school.clpbn").write_text(program, encoding="utf-8")
+    large = GOLDEN / "school_5000.csv"
+    large.write_text(_stdout_of(run_case(LARGE_SAMPLE)), encoding="utf-8")
+    try:
+        for name, argv in LARGE_CASES.items():
+            text = run_case(argv + ["--samples", str(large)])
+            (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
+    finally:
+        large.unlink()
 
 
 if __name__ == "__main__":

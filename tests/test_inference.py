@@ -284,6 +284,36 @@ def test_all_marginals_zero_probability_evidence():
             inference.marginal(net, nid)
 
 
+def _observed_coins(n: int, pairs: bool = False) -> ConstraintNetwork:
+    """n fair coins x(i), every one but x(0) observed t; with pairs, each
+    x(i) instead has a free parent y(i), and the scalars come from
+    eliminating the y(i)."""
+    t, f = parse_term("t"), parse_term("f")
+    net = ConstraintNetwork(skolem_functors=[("x", 1), ("y", 1)])
+    for i in range(n):
+        parents = []
+        if pairs:
+            net, y = net.add_node(parse_term(f"y({i})"), [t, f], [0.5, 0.5])
+            parents = [y]
+        table = [0.5, 0.5, 0.5, 0.5] if pairs else [0.5, 0.5]
+        net, x = net.add_node(parse_term(f"x({i})"), [t, f], table, parents)
+        if i:
+            net = net.set_evidence(x, t)
+    return net
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_many_observations_do_not_underflow(pairs):
+    # the evidence has probability 2**-1099, below the smallest float
+    net = _observed_coins(1100, pairs)
+    x0 = net.find_by_label(parse_term("x(0)"))
+    assert inference.marginal(net, x0).probs == (0.5, 0.5)
+    ms = inference.all_marginals(net)
+    assert {m.probs for m in ms} == {(0.5, 0.5), (1.0, 0.0)}
+    assert ms[x0].probs == (0.5, 0.5)
+    assert inference.marginal(net, x0 + 2).probs == (1.0, 0.0)
+
+
 def test_all_marginals_zero_mass_column():
     t, f = parse_term("t"), parse_term("f")
     net = ConstraintNetwork(skolem_functors=[("x", 1)])

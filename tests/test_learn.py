@@ -28,6 +28,32 @@ def cyclic():
     return parse_program(fixture_text("cyclic.clpbn"))
 
 
+# the clause calls itself with its arguments swapped
+SWAPPED_SELF_CALL = """
+pair(a, b). pair(b, a).
+r(X, Y, A) :- pair(X, Y), r(Y, X, B),
+  {A = r(X, Y) with p([t, f], [0.6, 0.3, 0.4, 0.7], [B])}.
+"""
+
+# x's clause comes first, so a bad y cell is met as a parent cell first
+CHILD_FIRST = (
+    "x(X) :- y(Y), {X = x with p([a, b], [0.6, 0.3, 0.4, 0.7], [Y])}.\n"
+    "y(Y) :- {Y = y with p([u, v], [0.5, 0.5], [])}.\n"
+)
+
+NEAR_DETERMINISTIC = """
+e(1).
+src(X) :- {X = s(0) with p([t,f],[0.5,0.5],[])}.
+dst(E, Y) :- e(E), src(X), {Y = d(E) with p([t,f],[1.0,0.0,0.0,1.0],[X])}.
+"""
+
+SPURIOUS_PARENT = """
+e(1).
+x(X) :- {X = vx(0) with p([t,f],[0.5,0.5],[])}.
+y(E, Y) :- e(E), x(X), {Y = vy(E) with p([t,f],[0.4,0.4,0.6,0.6],[X])}.
+"""
+
+
 def _cyclic_samples(seed, n=4000, independent_b=True):
     """Draws where a depends on b; b is uniform regardless of a."""
     rng = np.random.default_rng(seed)
@@ -62,6 +88,17 @@ def test_sampleset_missing_column():
     s = SampleSet(["x"], [["a"]])
     with pytest.raises(LearnError):
         s.column("zz")
+
+
+def test_sampleset_encodes_each_column_once():
+    s = SampleSet(["x", "y", "x"], [["a", "1", "b"], ["b", "1", "a"], ["a", "2", "c"]])
+    assert s.texts == [["a", "b"], ["1", "2"], ["b", "a", "c"]]
+    assert s.codes.tolist() == [[0, 1, 0], [0, 0, 1], [0, 1, 2]]
+    assert s.codes.dtype == np.int32
+    # a duplicate header name resolves to its first column, as list.index does
+    assert (s.column("x"), s.column("y")) == (0, 1)
+    empty = SampleSet(["x", "y"], [])
+    assert empty.texts == [[], []] and empty.codes.shape == (2, 0)
 
 
 # --- structural grounding ---------------------------------------------------------
@@ -138,11 +175,7 @@ def test_swapped_self_call_terminates():
     # recursive call maps X' -> Y and Y' -> X; mapping the clause's own X
     # and Y onto each other would loop in Subst.walk, or with unify give
     # the parent r(a, a)
-    prog = parse_program("""
-pair(a, b). pair(b, a).
-r(X, Y, A) :- pair(X, Y), r(Y, X, B),
-  {A = r(X, Y) with p([t, f], [0.6, 0.3, 0.4, 0.7], [B])}.
-""")
+    prog = parse_program(SWAPPED_SELF_CALL)
     insts, _ = structural_instances(prog)
     assert [
         (term_to_text(i.label), [term_to_text(p) for p in i.parents])
@@ -189,25 +222,23 @@ def test_learning_calls_ground_and_parse_once(monkeypatch, school, school_sample
     assert (len(grounds), len(parses)) == (2, 3)
 
 
+def _counts_or_error(count, program, samples):
+    try:
+        out = count(program, (), samples)
+    except LearnError as e:
+        return str(e)
+    return {k: (c.tolist(), ps) for k, (c, _, ps) in out.items()}
+
+
 def test_count_tables_match_loop(school, school_samples):
     import random
 
-    from oracles import count_tables_loop
+    from oracles import count_rows
 
     from clpbn.learn import _count_tables
 
-    def outcome(count, program, samples):
-        try:
-            out = count(program, (), samples)
-        except LearnError as e:
-            return str(e)
-        return {k: (c.tolist(), ps) for k, (c, _, ps) in out.items()}
-
-    # x's clause comes first, so a bad y cell is met as a parent cell first
-    child_first = parse_program(
-        "x(X) :- y(Y), {X = x with p([a, b], [0.6, 0.3, 0.4, 0.7], [Y])}.\n"
-        "y(Y) :- {Y = y with p([u, v], [0.5, 0.5], [])}.\n"
-    )
+    outcome = _counts_or_error
+    child_first = parse_program(CHILD_FIRST)
     child_first_samples = SampleSet.from_csv(
         inference.sample_csv(inference.ground_program(child_first), 300, 2)
     )
@@ -218,7 +249,7 @@ def test_count_tables_match_loop(school, school_samples):
         (child_first, child_first_samples),
     ):
         assert outcome(_count_tables, program, samples) == outcome(
-            count_tables_loop, program, samples
+            count_rows, program, samples
         )
         for _ in range(25):
             rows = [list(r) for r in samples.rows[:300]]
@@ -226,12 +257,12 @@ def test_count_tables_match_loop(school, school_samples):
                 i = rng.randrange(len(rows))
                 rows[i][rng.randrange(len(rows[i]))] = f"zz{rng.randint(0, 9)}"
             bad = SampleSet(list(samples.columns), rows)
-            expected = outcome(count_tables_loop, program, bad)
+            expected = outcome(count_rows, program, bad)
             errors += isinstance(expected, str)
             assert outcome(_count_tables, program, bad) == expected
         missing = SampleSet(samples.columns[1:], [r[1:] for r in samples.rows[:5]])
         assert outcome(_count_tables, program, missing) == outcome(
-            count_tables_loop, program, missing
+            count_rows, program, missing
         )
     assert errors >= 30
     # the first bad row decides; in it, the child is checked before its parent
@@ -241,7 +272,107 @@ def test_count_tables_match_loop(school, school_samples):
     ):
         samples = SampleSet(["x", "y"], rows)
         assert outcome(_count_tables, child_first, samples) == expected
-        assert outcome(count_tables_loop, child_first, samples) == expected
+        assert outcome(count_rows, child_first, samples) == expected
+
+
+def _net_program(net, order) -> str:
+    """One defining clause per node of a netgen net, in the given order;
+    node i is labelled ni."""
+    clauses = []
+    for node in map(net.nodes.get, order):
+        pvars = [f"P{p}" for p in node.parents]
+        calls = "".join(f"n{p}({v}), " for p, v in zip(node.parents, pvars))
+        domain = ", ".join(map(term_to_text, node.domain))
+        table = ", ".join(map(repr, node.table))
+        clauses.append(
+            f"n{node.id}(X) :- {calls}"
+            f"{{X = n{node.id} with p([{domain}], [{table}], [{', '.join(pvars)}])}}.\n"
+        )
+    return "".join(clauses)
+
+
+def test_count_tables_match_rows_on_random_nets():
+    from netgen import random_net
+    from oracles import count_rows
+
+    from clpbn.learn import _count_tables
+
+    rng = np.random.default_rng(17)
+    kinds = {"counts": 0, "the domain": 0, "a parent domain": 0}
+    for trial in range(100):
+        net = random_net(rng, max_nodes=6, max_domain=3, max_evidence=0)
+        # clause order decides whether a bad cell is met as a child or a parent
+        program = parse_program(_net_program(net, rng.permutation(len(net)).tolist()))
+        columns = [f"n{i}" for i in rng.permutation(len(net))]
+        n = 0 if trial % 10 == 0 else int(rng.integers(1, 80))
+        rows = [
+            [f"v{rng.integers(len(net.nodes[int(c[1:])].domain))}" for c in columns]
+            for _ in range(n)
+        ]
+        # a later column under a taken name is never read, whatever it holds
+        dup = int(rng.integers(len(columns)))
+        columns.append(columns[dup])
+        for row in rows:
+            row.append("zz")
+        if n and trial % 2:
+            for _ in range(int(rng.integers(1, 3))):
+                rows[rng.integers(n)][rng.integers(len(columns) - 1)] = "v9"
+        samples = SampleSet(columns, rows)
+        expected = _counts_or_error(count_rows, program, samples)
+        assert _counts_or_error(_count_tables, program, samples) == expected
+        kind = "counts" if isinstance(expected, dict) else expected.split("outside ")[1].split(" of")[0]
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+# a's clause joins b's instances before b's clause has found any, so a
+# grounds only when it is rerun after b has grown
+JOINS_LATER_CLAUSE = """
+e(1). e(2).
+a(E, X) :- b(E, Y), {X = va(E) with p([t,f],[0.6,0.4,0.4,0.6],[Y])}.
+b(E, Y) :- e(E), {Y = vb(E) with p([t,f],[0.5,0.5],[])}.
+"""
+
+
+@pytest.mark.parametrize(
+    "name", ["school", "school_population", "cyclic", "swapped", "child_first",
+             "near_deterministic", "spurious", "joins_later_clause"]
+)
+def test_semi_naive_instances_match_naive_rounds(monkeypatch, name, school, cyclic):
+    import oracles
+
+    from clpbn import learn
+    from clpbn.parser import parse_term
+
+    program, pop = {
+        "school": (school, []),
+        "school_population": (school, [parse_term("reg(r4, c2, ann)")]),
+        "cyclic": (cyclic, []),
+        "swapped": (parse_program(SWAPPED_SELF_CALL), []),
+        "child_first": (parse_program(CHILD_FIRST), []),
+        "near_deterministic": (parse_program(NEAR_DETERMINISTIC), []),
+        "spurious": (parse_program(SPURIOUS_PARENT), []),
+        "joins_later_clause": (parse_program(JOINS_LATER_CLAUSE), []),
+    }[name]
+
+    def listed(insts):
+        return {
+            key: [(term_to_text(i.label), [term_to_text(p) for p in i.parents]) for i in found]
+            for key, found in insts.items()
+        }
+
+    runs = {"semi": [], "naive": []}
+    _count_calls(monkeypatch, runs["semi"], learn, "_enumerate_clause")
+    _count_calls(monkeypatch, runs["naive"], oracles, "_enumerate_clause")
+    semi, _ = structural_instances(program, pop)
+    naive, _ = oracles.structural_instances_naive(program, pop)
+    assert listed(semi) == listed(naive)
+    if name == "joins_later_clause":
+        assert listed(semi)[("a", 2)] == [("va(1)", ["vb(1)"]), ("va(2)", ["vb(2)"])]
+    # the naive rounds end with one that reruns every job and finds nothing
+    assert len(runs["semi"]) <= len(runs["naive"])
+    if name.startswith("school"):
+        assert len(runs["semi"]) < len(runs["naive"])
 
 
 # --- fitting ------------------------------------------------------------------
@@ -291,12 +422,7 @@ def test_fit_empty_sample_gives_uniform(school):
 
 
 def test_fit_near_deterministic_recovery():
-    text = """
-e(1).
-src(X) :- {X = s(0) with p([t,f],[0.5,0.5],[])}.
-dst(E, Y) :- e(E), src(X), {Y = d(E) with p([t,f],[1.0,0.0,0.0,1.0],[X])}.
-"""
-    prog = parse_program(text)
+    prog = parse_program(NEAR_DETERMINISTIC)
     net = inference.ground_program(
         prog, drivers=["src(X)", "e(E), dst(E, Y)"]
     )
@@ -363,13 +489,8 @@ e(1).
 x(X) :- {X = vx(0) with p([t,f],[0.5,0.5],[])}.
 y(E, Y) :- e(E), {Y = vy(E) with p([t,f],[0.4,0.6],[])}.
 """
-    spurious = """
-e(1).
-x(X) :- {X = vx(0) with p([t,f],[0.5,0.5],[])}.
-y(E, Y) :- e(E), x(X), {Y = vy(E) with p([t,f],[0.4,0.4,0.6,0.6],[X])}.
-"""
     b = parse_program(base)
-    s = parse_program(spurious)
+    s = parse_program(SPURIOUS_PARENT)
     net = inference.ground_program(b, drivers=["x(X)", "e(E), y(E, Y)"])
     for seed in range(5):
         samples = SampleSet.from_csv(inference.sample_csv(net, 10000, seed=seed))
