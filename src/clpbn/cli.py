@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -108,6 +109,17 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _finite_at_least_zero(text: str) -> float:
+    """argparse type for a float flag that must be finite and not negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be a finite number at least 0")
+    return value
 
 
 # --- answer printing (shared by query and repl) --------------------------------
@@ -316,7 +328,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="output format (default text)",
     )
     p.add_argument(
-        "--tolerance", type=float, default=NORMALIZATION_TOLERANCE,
+        "--tolerance", type=_finite_at_least_zero, default=NORMALIZATION_TOLERANCE,
         help="normalization warning threshold (default 1e-6)",
     )
 
@@ -390,7 +402,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit CPTs from a sample CSV and print the fitted program")
     p.add_argument("program")
     p.add_argument("--samples", required=True, help="sample CSV path")
-    p.add_argument("--alpha", type=float, default=1.0, help="smoothing constant (default 1)")
+    p.add_argument(
+        "--alpha", type=_finite_at_least_zero, default=1.0, help="smoothing constant (default 1)"
+    )
     p.add_argument("--fact", action="append", metavar="TERM")
     _add_common(p)
     p.set_defaults(func=_cmd_fit)
@@ -398,7 +412,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("score", help="BIC score of a program on a sample CSV")
     p.add_argument("program")
     p.add_argument("--samples", required=True, help="sample CSV path")
-    p.add_argument("--alpha", type=float, default=0.0, help="smoothing constant (default 0)")
+    p.add_argument(
+        "--alpha", type=_finite_at_least_zero, default=0.0, help="smoothing constant (default 0)"
+    )
     p.add_argument("--fact", action="append", metavar="TERM")
     _add_common(p)
     p.set_defaults(func=_cmd_score)
@@ -413,7 +429,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("agree", help="check query marginals against the ground network")
     p.add_argument("program")
     p.add_argument(
-        "--agree-tolerance", type=float, default=1e-9,
+        "--agree-tolerance", type=_finite_at_least_zero, default=1e-9,
         help="max allowed marginal difference (default 1e-9)",
     )
     _add_common(p)

@@ -8,6 +8,13 @@ what is left. `all_marginals` runs it over every free node and then one
 downward pass over the bucket tree it built, reusing its messages instead
 of eliminating once per node.
 
+Each node's normalized CPT factor is built once per node object and
+cached on the network (`_cpt_factor`); copies share the entries of the
+nodes they did not change, so observing a few nodes of a ground network
+rebuilds only theirs. A product is one numpy call over the sorted union
+of the two scopes (`_factor_product`), and every result is bit for bit
+what transposing both operands onto that union and multiplying gives.
+
 The module also houses forward sampling (seeded, reproducible, CSV
 output), whole-program grounding over a population of facts, and the
 agreement checks that compare query-time networks against the fully
@@ -21,7 +28,7 @@ import functools
 import heapq
 import io
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,12 +48,13 @@ _TINY, _LIFT = 2.0 ** -500, 2.0 ** 500
 # --- factors ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """A nonnegative table over a tuple of node ids.
 
     `values` has one axis per entry of `vars`, in order, with axis size
-    equal to that node's (current) cardinality.
+    equal to that node's (current) cardinality. A named tuple, since
+    elimination builds one per product and sum; no code writes into
+    `values`, and the cached CPT factors' arrays are read-only.
     """
 
     vars: tuple[int, ...]
@@ -85,20 +93,53 @@ def node_factor(net: ConstraintNetwork, node: Node) -> Factor:
     return Factor((node.id,) + node.parents, vals)
 
 
+def _cpt_factor(net: ConstraintNetwork, nid: int) -> Factor:
+    """`node_factor` of node nid, built at most once per node object.
+
+    Nodes are frozen and every change replaces one, so a cached entry is
+    valid exactly while it holds the node now stored under nid; a
+    replaced, dropped or restored node needs no invalidation. Copies of
+    the network start with the same cache (see `ConstraintNetwork.copy`).
+    """
+    node = net.nodes[nid]
+    entry = net._factors.get(nid)
+    if entry is None or entry[0] is not node:
+        f = node_factor(net, node)
+        f.values.flags.writeable = False
+        entry = net._factors[nid] = (node, f)
+    return entry[1]
+
+
 def _factor_product(a: Factor, b: Factor) -> Factor:
-    allvars = tuple(sorted(set(a.vars) | set(b.vars)))
-    return Factor(allvars, _expand(a, allvars) * _expand(b, allvars))
+    """Elementwise product over the sorted union of the two scopes.
+
+    Two scopes in ascending order each reshape onto the union (equal ones
+    need no reshape) and broadcast-multiply; anything else is one einsum,
+    labelled by position in the union since einsum takes only labels
+    below 52.
+    """
+    allvars = tuple(sorted(set(a.vars).union(b.vars)))
+    if _in_order(a.vars) and _in_order(b.vars):
+        return Factor(allvars, _broadcastable(a, allvars) * _broadcastable(b, allvars))
+    axis = {v: i for i, v in enumerate(allvars)}
+    vals = np.einsum(
+        a.values, [axis[v] for v in a.vars], b.values, [axis[v] for v in b.vars],
+        list(range(len(allvars))),
+    )
+    return Factor(allvars, vals)
 
 
-def _expand(f: Factor, allvars: tuple[int, ...]) -> np.ndarray:
-    """View of f.values broadcastable over the axes listed in allvars."""
-    positions = [allvars.index(v) for v in f.vars]
-    perm = sorted(range(len(f.vars)), key=lambda i: positions[i])
-    vals = np.transpose(f.values, perm) if f.vars else f.values
-    shape = [1] * len(allvars)
-    for i in perm:
-        shape[positions[i]] = f.values.shape[i]
-    return vals.reshape(shape)
+def _in_order(vs: tuple[int, ...]) -> bool:
+    return list(vs) == sorted(vs)
+
+
+def _broadcastable(f: Factor, allvars: tuple[int, ...]) -> np.ndarray:
+    """f.values with a unit axis for each variable of allvars that f lacks;
+    f.vars must be in allvars' order."""
+    if f.vars == allvars:
+        return f.values
+    size = dict(zip(f.vars, f.values.shape))
+    return f.values.reshape([size.get(v, 1) for v in allvars])
 
 
 # --- marginals by variable elimination ---------------------------------------
@@ -149,8 +190,8 @@ def resolve_node(net: ConstraintNetwork, node: NodeRef) -> int:
 def _clamped_factors(net: ConstraintNetwork) -> list[Factor]:
     factors = []
     for nid in net.node_ids():
-        f = node_factor(net, net.nodes[nid])
-        for var in tuple(f.vars):
+        f = _cpt_factor(net, nid)
+        for var in f.vars:
             ev = net.nodes[var].evidence
             if ev is not None:
                 f = f.reduce(var, ev)
@@ -361,7 +402,7 @@ def sample(net: ConstraintNetwork, n: int, seed: int) -> tuple[list[int], np.nda
             out[:, j] = node.evidence
             continue
         d = node.cardinality
-        cum = np.cumsum(node_factor(net, node).values.reshape(d, -1), axis=0)
+        cum = np.cumsum(_cpt_factor(net, nid).values.reshape(d, -1), axis=0)
         col = np.zeros(n, dtype=np.int64)
         for p, size in zip(node.parents, net.parent_sizes(node)):
             col = col * size + out[:, col_of[p]]

@@ -592,17 +592,47 @@ def fit_cpts(
 
     Counts are pooled over all ground instances of each defining clause
     (all instances share one table). Entries become
-    (count + alpha) / (column-total + alpha * domain-size).
+    (count + alpha) / (column-total + alpha * domain-size). LearnError if
+    alpha is negative or not finite, if an entry with count + alpha above
+    0 is not a positive finite number, or if alpha is 0 and a parent
+    configuration never occurs.
     """
     if samples is None:
         raise LearnError("fit_cpts needs a sample set")
+    _check_alpha(alpha)
     # population facts follow the program's clauses, so indexes carry over
     cpts = {}
     for counts, fc, _psizes in _count_tables(program, population, samples).values():
-        d = counts.shape[0]
-        smoothed = (counts + alpha) / (counts.sum(axis=0) + alpha * d)
+        smoothed = _smoothed(counts, alpha)
+        if np.isnan(smoothed).any():
+            raise LearnError(
+                "a parent configuration never occurs in the samples; "
+                "fit with a smoothing constant above 0"
+            )
         cpts[fc.clause_index] = _literal_cpt(fc, smoothed.ravel(), fc.parent_vars)
     return _rewrite_tables(program, cpts)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise LearnError(f"smoothing constant must be a finite number at least 0, got {alpha!r}")
+
+
+def _smoothed(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """(count + alpha) / (column total + alpha * domain size) for every cell.
+
+    A column with no count and no smoothing is 0/0, NaN. Every cell with
+    count + alpha above 0 must come out a positive finite number; a huge
+    alpha overflows the denominator and rounds its estimates to 0.
+    """
+    num = counts + alpha
+    with np.errstate(invalid="ignore"):
+        est = num / (counts.sum(axis=0) + alpha * counts.shape[0])
+    if ((num > 0) & ~((est > 0) & np.isfinite(est))).any():
+        raise LearnError(
+            f"smoothing constant {alpha!r} gives an estimate that is not a positive finite number"
+        )
+    return est
 
 
 # --- scoring ------------------------------------------------------------------
@@ -617,7 +647,9 @@ def bic_score(
     """Log-likelihood under ML parameters minus (k/2) ln N; higher is better.
 
     ML parameters are unsmoothed by default (alpha = 0); pass alpha > 0 to
-    score against smoothed estimates instead. k counts
+    score against smoothed estimates instead (LearnError if alpha is
+    negative or not finite, or if an estimate for a counted cell is not a
+    positive finite number). k counts
     (domain-1) x product(parent sizes) free parameters per defining clause
     (tables are tied across instances). Parent configurations that never
     occur contribute nothing. Cycles in the ground structure are no
@@ -625,6 +657,7 @@ def bic_score(
     """
     if samples is None:
         raise LearnError("bic_score needs a sample set")
+    _check_alpha(alpha)
     n = len(samples)
     if n == 0:
         return 0.0
@@ -635,15 +668,12 @@ def bic_score(
         counts, fc, psizes = tables[key]
         d, cols = counts.shape
         k += (d - 1) * int(np.prod(psizes)) if psizes else (d - 1)
-        colsums = counts.sum(axis=0)
+        est = _smoothed(counts, alpha)
         for j in range(cols):
-            if colsums[j] <= 0:
-                continue
             for r in range(d):
                 c = counts[r, j]
                 if c > 0:
-                    est = (c + alpha) / (colsums[j] + alpha * d)
-                    loglik += c * math.log(est)
+                    loglik += c * math.log(est[r, j])
     return loglik - 0.5 * k * math.log(n)
 
 

@@ -4,14 +4,22 @@ Nodes are labeled by Skolem terms (possibly non-ground mid-derivation)
 and carry a domain, a flat CPT (see ``program`` for the layout), parent
 node ids, and optional evidence.
 
-The engine grows one store in place. Every change to ``nodes``,
-``binding`` and the label index is logged on ``trail``, the undo trail
-that the engine's ``Subst`` logs its bindings to, so one ``Subst.undo``
-on backtracking reverts bindings and store together. The public
-operations (``add_node``, ``set_evidence``, ``restrict_node_domain``,
-``apply_substitution``) leave the network they are called on unchanged
-and return a changed copy; each is ``copy()`` plus the in-place operation
-the engine uses. Change ``nodes`` and ``binding`` only through them.
+The engine grows one store in place, through the underscore operations
+(``_add_node``, ``_set_evidence``, ``_restrict``, ``_merge_nodes``,
+``post_constraint``). Every change to ``nodes``, ``binding`` and the
+label index goes through ``_put``, ``_drop`` and ``_bind``, which log it
+on ``trail``, the undo trail that the engine's ``Subst`` logs its
+bindings to, so one ``Subst.undo`` on backtracking reverts bindings and
+store together. ``add_node``, ``set_evidence``, ``restrict_node_domain``
+and ``apply_substitution`` are ``copy()`` plus one of those operations:
+they leave the network they are called on unchanged and return the
+changed copy.
+
+Nodes are frozen: a change replaces a node with a new object, never edits
+one. ``_factors`` caches each node's CPT factor for inference together
+with the node it was built from, and an entry counts only while that very
+node is stored, so replacing, dropping or restoring a node needs no
+invalidation and the cache is not on the trail.
 
 The label index maps each ground stored label, by ``term_sort_key``, to
 its node ids. Nodes whose stored label holds a variable are kept in a
@@ -126,11 +134,14 @@ class ConstraintNetwork:
         self.trail: list = []
         self._by_label: dict[tuple, tuple[int, ...]] = {}  # ground label key -> ids
         self._open: dict[int, None] = {}  # ids of nodes whose label is not ground
+        # node id -> (node, its CPT factor), see inference.cached_factor
+        self._factors: dict[int, tuple] = {}
 
     # --- plumbing -------------------------------------------------------
 
     def copy(self) -> "ConstraintNetwork":
-        """An independent network with the same contents and an empty trail."""
+        """An independent network with the same contents, the same cached
+        factors and an empty trail."""
         net = ConstraintNetwork.__new__(ConstraintNetwork)
         net.nodes = dict(self.nodes)
         net.binding = dict(self.binding)
@@ -139,6 +150,7 @@ class ConstraintNetwork:
         net.trail = []
         net._by_label = dict(self._by_label)
         net._open = dict(self._open)
+        net._factors = dict(self._factors)
         return net
 
     def __len__(self) -> int:

@@ -1,5 +1,12 @@
 """Independent reference implementations that the fast paths must agree with.
 
+`expand_product` multiplies two factors by transposing and reshaping
+each operand onto the sorted union of their scopes, and `uncached_factor`
+builds a node's CPT factor afresh on every call. With both patched into
+`clpbn.inference`, `marginal` and `all_marginals` must give the same
+probabilities bit for bit as with the cached factors and the
+broadcast-or-einsum `_factor_product`.
+
 `enumerate_joint` builds the full joint table over all non-evidence nodes
 by brute-force broadcasting. It is only feasible for small networks, but it
 shares no elimination machinery with `inference.marginal` or
@@ -52,8 +59,7 @@ from clpbn.inference import (
     Marginal,
     NodeRef,
     _clamped_factors,
-    _expand,
-    _factor_product,
+    node_factor,
     resolve_node,
 )
 from clpbn.learn import (
@@ -90,6 +96,28 @@ class JointSizeError(InferenceError):
     """Joint enumeration would exceed the state-count guard."""
 
 
+def expand(f: Factor, allvars: tuple[int, ...]) -> np.ndarray:
+    """View of f.values broadcastable over the axes listed in allvars."""
+    positions = [allvars.index(v) for v in f.vars]
+    perm = sorted(range(len(f.vars)), key=lambda i: positions[i])
+    vals = np.transpose(f.values, perm) if f.vars else f.values
+    shape = [1] * len(allvars)
+    for i in perm:
+        shape[positions[i]] = f.values.shape[i]
+    return vals.reshape(shape)
+
+
+def expand_product(a: Factor, b: Factor) -> Factor:
+    """Product over the sorted union of the scopes, both operands expanded."""
+    allvars = tuple(sorted(set(a.vars) | set(b.vars)))
+    return Factor(allvars, expand(a, allvars) * expand(b, allvars))
+
+
+def uncached_factor(net: ConstraintNetwork, nid: int) -> Factor:
+    """The node's CPT factor, built afresh on every call."""
+    return node_factor(net, net.nodes[nid])
+
+
 def enumerate_joint(net: ConstraintNetwork) -> Factor:
     """Normalized joint over all non-evidence nodes, by direct enumeration.
 
@@ -108,7 +136,7 @@ def enumerate_joint(net: ConstraintNetwork) -> Factor:
     joint = np.ones(shape)
     allvars = tuple(free)
     for f in _clamped_factors(net):
-        joint = joint * _expand(f, allvars)
+        joint = joint * expand(f, allvars)
     z = float(joint.sum())
     if z <= 0.0:
         raise InconsistentEvidenceError(
@@ -171,7 +199,7 @@ def run_elimination_scan(factors: list[Factor], order) -> Factor:
             continue
         prod = bucket[0]
         for f in bucket[1:]:
-            prod = _factor_product(prod, f)
+            prod = expand_product(prod, f)
         prod = prod.sum_out(v)
         if not prod.vars:
             scalar *= float(prod.values)
@@ -179,7 +207,7 @@ def run_elimination_scan(factors: list[Factor], order) -> Factor:
             work.append(prod)
     result = Factor((), np.array(scalar))
     for f in work:
-        result = _factor_product(result, f)
+        result = expand_product(result, f)
     return result
 
 

@@ -646,3 +646,56 @@ def test_console_script():
         )
         assert proc.returncode == 0
         assert "0 error(s)" in proc.stdout
+
+
+# --- numeric options ---------------------------------------------------------------
+
+GOLDEN_SAMPLES = Path(__file__).resolve().parent / "golden" / "sample_school.csv"
+ALPHA_USAGE = "error: argument --alpha: must be a finite number at least 0\n"
+TOLERANCE_USAGE = "error: argument --tolerance: must be a finite number at least 0\n"
+ALPHA_OVERFLOW = (
+    "error: smoothing constant 1e+308 gives an estimate that is not a positive "
+    "finite number\n"
+)
+
+# argv (TWO_ROWS and ALL_ROWS name sample files) -> exit code, stderr's end
+BAD_NUMERIC_OPTIONS = {
+    ("score", "school.clpbn", "--samples", "TWO_ROWS", "--alpha=-1"): (3, ALPHA_USAGE),
+    ("score", "school.clpbn", "--samples", "ALL_ROWS", "--alpha=1e308"): (2, ALPHA_OVERFLOW),
+    ("fit", "school.clpbn", "--samples", "ALL_ROWS", "--alpha=1e308"): (2, ALPHA_OVERFLOW),
+    ("fit", "school.clpbn", "--samples", "ALL_ROWS", "--alpha=nan"): (3, ALPHA_USAGE),
+    ("score", "school.clpbn", "--samples", "ALL_ROWS", "--alpha=nan"): (3, ALPHA_USAGE),
+    ("fit", "school.clpbn", "--samples", "ALL_ROWS", "--alpha=inf"): (3, ALPHA_USAGE),
+    ("fit", "school.clpbn", "--samples", "ALL_ROWS", "--alpha=x"): (
+        3, "error: argument --alpha: invalid float value: 'x'\n"),
+    ("check", "hmm.clpbn", "--tolerance=nan"): (3, TOLERANCE_USAGE),
+    ("check", "hmm.clpbn", "--tolerance=-1"): (3, TOLERANCE_USAGE),
+    ("query", "hmm.clpbn", "-q", "caught(1, C).", "--tolerance=-inf"): (3, TOLERANCE_USAGE),
+    # a NaN agreement tolerance passed every comparison, -1 failed them all
+    ("agree", "school.clpbn", "--agree-tolerance=nan"): (
+        3, "error: argument --agree-tolerance: must be a finite number at least 0\n"),
+    ("agree", "school.clpbn", "--agree-tolerance=-1"): (
+        3, "error: argument --agree-tolerance: must be a finite number at least 0\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BAD_NUMERIC_OPTIONS), ids=" ".join)
+def test_bad_numeric_options_keep_the_exit_code_contract(tmp_path, argv):
+    # a negative, infinite or NaN alpha or tolerance is a usage error; an
+    # alpha so large that the estimates round to 0 is a learning error
+    two_rows = tmp_path / "two.csv"
+    two_rows.write_text("".join(GOLDEN_SAMPLES.read_text().splitlines(keepends=True)[:3]))
+    files = {"TWO_ROWS": str(two_rows), "ALL_ROWS": str(GOLDEN_SAMPLES)}
+    code, out, err = _main_captured([files.get(a, a) for a in argv])
+    want_code, want_end = BAD_NUMERIC_OPTIONS[argv]
+    assert (code, out) == (want_code, "")
+    assert err.endswith(want_end) and "Traceback" not in err
+
+
+def test_zero_alpha_and_tolerance_are_accepted(tmp_path):
+    code, out, err = _main_captured(
+        ["score", "school.clpbn", "--samples", str(GOLDEN_SAMPLES), "--alpha=0", "--tolerance=0"]
+    )
+    assert (code, err) == (0, "") and out.startswith("bic ")
+    code, out, err = _main_captured(["check", "hmm.clpbn", "--tolerance", "0"])
+    assert code == 0 and err == "" and "1 warning(s)" in out

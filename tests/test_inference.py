@@ -10,13 +10,16 @@ from clpbn.fixtures import SCHOOL_DRIVERS, fixture_text
 from clpbn.network import ConstraintNetwork
 from clpbn.parser import parse_term, term_to_text
 from clpbn.program import parse_program
+from clpbn.terms import Atom, Struct
 from netgen import random_net
 from oracles import (
     JointSizeError,
     enumerate_joint,
+    expand_product,
     joint_marginal,
     min_degree_order_rescan,
     run_elimination_scan,
+    uncached_factor,
 )
 
 TOL = 1e-9
@@ -339,6 +342,145 @@ def test_all_marginals_orders_once(school, monkeypatch):
     assert len(calls) == 2
     inference.marginal(net, net.node_ids()[0])
     assert len(calls) == 3
+
+
+# --- cached factors and the product oracle -------------------------------------
+
+SCHOOL_EXTRA = [
+    "professor(p3)", "course(c3, p3)", "student(cal)",
+    "reg(r4, c2, ann)", "reg(r5, c3, cal)", "reg(r6, c3, bob)", "reg(r7, c1, cal)",
+]
+
+
+def _probs_bits(net) -> bytes:
+    """The bytes of all_marginals and of every per-node marginal."""
+    probs = [m.probs for m in inference.all_marginals(net)]
+    probs += [inference.marginal(net, nid).probs for nid in net.node_ids()]
+    return np.array([p for ps in probs for p in ps]).tobytes()
+
+
+def _assert_bits_match_oracle(monkeypatch, nets):
+    fast = [_probs_bits(net) for net in nets]
+    with monkeypatch.context() as m:
+        m.setattr(inference, "_factor_product", expand_product)
+        m.setattr(inference, "_cpt_factor", uncached_factor)
+        slow = [_probs_bits(net) for net in nets]
+    assert fast == slow
+
+
+def test_products_match_expand_oracle_bit_for_bit_on_random_nets(monkeypatch):
+    # domains of 8 or more values make numpy's sums depend on memory layout
+    rng = np.random.default_rng(91)
+    nets = [random_net(rng) for _ in range(200)]
+    nets += [random_net(rng, max_nodes=7, max_domain=11) for _ in range(40)]
+    _assert_bits_match_oracle(monkeypatch, nets)
+
+
+def test_products_match_expand_oracle_bit_for_bit_on_school(monkeypatch, school):
+    pop = [parse_term(t) for t in SCHOOL_EXTRA]
+    rng = np.random.default_rng(92)
+    nets = []
+    for base in (_school_net(school), inference.ground_program(school, pop, SCHOOL_DRIVERS)):
+        for k in (0, 1, 1, 2, 2, 3, 3):
+            nets.append(_observe_forward_sample(base, rng, k))
+    assert [len(n) for n in nets[::7]] == [18, 32]
+    _assert_bits_match_oracle(monkeypatch, nets)
+
+
+def test_evidence_copies_reuse_the_base_factors(monkeypatch, school):
+    net = _school_net(school)
+    built = []
+    original = inference.node_factor
+
+    def counting(n, node):
+        built.append(node.id)
+        return original(n, node)
+
+    monkeypatch.setattr(inference, "node_factor", counting)
+    inference.all_marginals(net)
+    assert sorted(built) == net.node_ids()
+    rng = np.random.default_rng(93)
+    for k in (1, 2, 3):
+        built.clear()
+        observed = _observe_forward_sample(net, rng, k)
+        inference.all_marginals(observed)
+        inference.marginal(observed, observed.node_ids()[-1])
+        inference.sample(observed, 3, seed=k)
+        # an observed node is a new object, so only its factor is built
+        replaced = [nid for nid in net.node_ids() if observed.nodes[nid] is not net.nodes[nid]]
+        assert sorted(built) == replaced and len(replaced) == k
+    # the copies cached their own entries without evicting the base's
+    built.clear()
+    inference.all_marginals(net)
+    assert built == []
+
+
+def _twin_net(rng):
+    """A random net, plus for some nodes a twin under the same label, with
+    the same parents and table rows (sometimes one value fewer), that has a
+    child of its own. Merging a twin into its node repoints that child and
+    may restrict the node, and with it the node's children."""
+    net = random_net(rng, max_evidence=0)
+    twins = []
+    for nid in rng.choice(net.node_ids(), size=min(2, len(net)), replace=False):
+        node = net.nodes[int(nid)]
+        d = node.cardinality - int(rng.integers(0, 2))
+        cols = len(node.table) // node.cardinality
+        net, twin = net.add_node(node.label, node.domain[:d], node.table[: d * cols], node.parents)
+        table = rng.random((2, d)) + 1e-3
+        net, _ = net.add_node(Struct("kid", (twin,)), [Atom("a"), Atom("b")],
+                              (table / table.sum(axis=0)).ravel(), [twin])
+        twins.append((node.id, twin))
+    return net, twins
+
+
+def _step(net, s, twins, rng):
+    """One in-place store change; False if it failed part way."""
+    nid = int(rng.choice(net.node_ids()))
+    node = net.nodes[nid]
+    roll = rng.random()
+    if roll < 0.35:
+        return net._set_evidence(nid, node.domain[int(rng.integers(node.cardinality))])
+    if roll < 0.7:
+        size = int(rng.integers(1, node.cardinality + 1))
+        keep = sorted(int(i) for i in rng.choice(node.cardinality, size=size, replace=False))
+        return net._restrict(nid, keep)
+    n1, n2 = twins[int(rng.integers(len(twins)))]
+    if n1 in net.nodes and n2 in net.nodes:
+        return net._merge_nodes(n1, n2, s) is not None
+    return True
+
+
+def test_replaced_nodes_never_get_a_stale_factor():
+    # every step caches the factors of the nodes it sees; restricting,
+    # merging, setting evidence and undoing replace nodes, and each result
+    # must equal that of a copy with an empty cache
+    from clpbn.errors import ClpbnError
+    from clpbn.terms import Subst
+
+    rng = np.random.default_rng(94)
+    for _ in range(60):
+        net, twins = _twin_net(rng)
+        s = Subst()
+        net.trail = s.trail
+        marks = []
+        for _ in range(14):
+            roll = rng.random()
+            if roll < 0.2:
+                marks.append(s.mark())
+            elif roll < 0.4 and marks:
+                s.undo(marks.pop())
+            else:
+                mark = s.mark()
+                try:
+                    ok = _step(net, s, twins, rng)
+                except ClpbnError:
+                    ok = False
+                if not ok:
+                    s.undo(mark)
+            fresh = net.copy()
+            fresh._factors.clear()
+            assert _probs_bits(net) == _probs_bits(fresh)
 
 
 # --- sampling ---------------------------------------------------------------------

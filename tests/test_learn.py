@@ -421,6 +421,27 @@ def test_fit_empty_sample_gives_uniform(school):
     assert all(abs(x - 1 / 3) < 1e-12 for x in grade.table)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_bad_smoothing_constant_is_a_learn_error(school, school_samples, alpha):
+    for learn_fn in (fit_cpts, bic_score):
+        with pytest.raises(LearnError, match="smoothing constant must be a finite number"):
+            learn_fn(school, samples=school_samples, alpha=alpha)
+
+
+def test_estimates_must_be_positive_finite_numbers(school, school_samples):
+    # alpha * domain size overflows, so every estimate rounds to 0
+    for learn_fn in (fit_cpts, bic_score):
+        with pytest.raises(LearnError, match="not a positive finite number"):
+            learn_fn(school, samples=school_samples, alpha=1e308)
+    # unsmoothed, a parent configuration that never occurs has no estimate:
+    # fitting needs one, scoring skips it
+    rows = SampleSet(school_samples.columns, school_samples.rows[:2])
+    with pytest.raises(LearnError, match="never occurs in the samples"):
+        fit_cpts(school, samples=rows, alpha=0.0)
+    assert np.isfinite(bic_score(school, samples=rows, alpha=0.0))
+    assert fit_cpts(school, samples=rows, alpha=1e300) is not None
+
+
 def test_fit_near_deterministic_recovery():
     prog = parse_program(NEAR_DETERMINISTIC)
     net = inference.ground_program(
