@@ -256,8 +256,6 @@ class Engine:
         count = 0
         for _ in self._solutions(_cons(entries), s, n, memo):
             frozen = n.apply_substitution(s)
-            if frozen is None:
-                continue
             ok, cycle = frozen.check_acyclic()
             if not ok:
                 raise NetworkCycleError("answer network is cyclic", cycle)

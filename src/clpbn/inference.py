@@ -9,9 +9,9 @@ downward pass over the bucket tree it built, reusing its messages instead
 of eliminating once per node.
 
 Each node's normalized CPT factor is built once per node object and
-cached on the network (`_cpt_factor`); copies share the entries of the
-nodes they did not change, so observing a few nodes of a ground network
-rebuilds only theirs. A product is one numpy call over the sorted union
+cached on the network (`_cpt_factor`); copies share the entries, and
+observing a node keeps its entry, so observing a few nodes of a ground
+network rebuilds no factor. A product is one numpy call over the sorted union
 of the two scopes (`_factor_product`), and every result is bit for bit
 what transposing both operands onto that union and multiplying gives.
 
@@ -99,7 +99,9 @@ def _cpt_factor(net: ConstraintNetwork, nid: int) -> Factor:
     Nodes are frozen and every change replaces one, so a cached entry is
     valid exactly while it holds the node now stored under nid; a
     replaced, dropped or restored node needs no invalidation. Copies of
-    the network start with the same cache (see `ConstraintNetwork.copy`).
+    the network start with the same cache (see `ConstraintNetwork.copy`),
+    and `_set_evidence` moves an entry to the observed node, whose factor
+    is the same.
     """
     node = net.nodes[nid]
     entry = net._factors.get(nid)

@@ -440,27 +440,26 @@ def structural_ground(
     program: Program, population: Iterable[Term] = ()
 ) -> ConstraintNetwork:
     """Ground network read off the clause structure; may contain cycles."""
-    return _network(program, *structural_instances(program, population))
+    return _network(program, *structural_instances(program, population))[0]
 
 
 def _network(
     program: Program,
     insts: dict[tuple[str, int], list[_Instance]],
     analysis: _Analysis,
-) -> ConstraintNetwork:
-    """The network over instances already found by structural_instances."""
-    ordered: list[tuple[tuple[str, int], _Instance]] = []
+) -> tuple[ConstraintNetwork, dict[str, int]]:
+    """The network over instances already found by structural_instances,
+    and the id of each label's node by the label's text."""
+    ordered: list[tuple[tuple[str, int], str, _Instance]] = []
     for key in sorted(insts):
-        for inst in sorted(insts[key], key=lambda i: term_to_text(i.label)):
-            ordered.append((key, inst))
+        labelled = sorted(((term_to_text(i.label), i) for i in insts[key]), key=lambda e: e[0])
+        ordered += [(key, text, inst) for text, inst in labelled]
     net = ConstraintNetwork(
         skolem_functors=set(program.skolem_registry),
         skolem_constants=program.skolem_constants,
     )
-    ids: dict[str, int] = {}
-    for nid, (key, inst) in enumerate(ordered):
-        ids[term_to_text(inst.label)] = nid
-    for nid, (key, inst) in enumerate(ordered):
+    ids = {text: nid for nid, (_, text, _) in enumerate(ordered)}
+    for nid, (key, _, inst) in enumerate(ordered):
         fc = analysis.fields[key]
         parents = []
         for plabel in inst.parents:
@@ -482,7 +481,7 @@ def _network(
                 f"{len(node.table)} does not match domain and parents "
                 f"({expected})"
             )
-    return net
+    return net, ids
 
 
 # --- counting -----------------------------------------------------------------
@@ -497,10 +496,7 @@ def _count_tables(
 
     Returns counts, the clause record, and the parent domain sizes."""
     insts, analysis = structural_instances(program, population)
-    net = _network(program, insts, analysis)
-    label_to_node = {
-        term_to_text(n.label): n for n in net.nodes.values()
-    }
+    net, ids = _network(program, insts, analysis)
     # one parent column serves many instances: index each column once
     indexed: dict[tuple[str, tuple[str, ...]], tuple[np.ndarray, bool]] = {}
 
@@ -521,13 +517,13 @@ def _count_tables(
             continue
         first = insts[key][0]
         psizes = [
-            len(label_to_node[term_to_text(p)].domain) for p in first.parents
+            len(net.nodes[ids[term_to_text(p)]].domain) for p in first.parents
         ]
         flats = []
         for inst in insts[key]:
             label = term_to_text(inst.label)
             cells = [(label, *domain_indices(label, fc.domain))] + [
-                (p, *domain_indices(p, label_to_node[p].domain))
+                (p, *domain_indices(p, net.nodes[ids[p]].domain))
                 for p in map(term_to_text, inst.parents)
             ]
             if not all(inside for _, _, inside in cells):
@@ -776,12 +772,11 @@ def remove_cycles(
     current = program
     while True:
         insts, analysis = structural_instances(current, population)
-        net = _network(current, insts, analysis)
+        net, label_node = _network(current, insts, analysis)
         ok, _cycle = net.check_acyclic()
         if ok:
             return current
         bad = _cycle_edges(net)
-        label_node = {term_to_text(n.label): n.id for n in net.nodes.values()}
         candidates = []
         for key, fc in analysis.fields.items():
             if not insts[key] or not fc.parent_vars:

@@ -1,25 +1,29 @@
 """The constraint store: a Bayesian network grown during resolution.
 
-Nodes are labeled by Skolem terms (possibly non-ground mid-derivation)
-and carry a domain, a flat CPT (see ``program`` for the layout), parent
-node ids, and optional evidence.
+Each node is one random variable, labeled by the Skolem term that names
+it (possibly non-ground mid-derivation); a label is never one of the
+node's values. A node carries a domain, a flat CPT (see ``program`` for
+the layout), parent node ids, and optional evidence.
 
-The engine grows one store in place, through the underscore operations
-(``_add_node``, ``_set_evidence``, ``_restrict``, ``_merge_nodes``,
-``post_constraint``). Every change to ``nodes``, ``binding`` and the
-label index goes through ``_put``, ``_drop`` and ``_bind``, which log it
-on ``trail``, the undo trail that the engine's ``Subst`` logs its
-bindings to, so one ``Subst.undo`` on backtracking reverts bindings and
-store together. ``add_node``, ``set_evidence``, ``restrict_node_domain``
-and ``apply_substitution`` are ``copy()`` plus one of those operations:
-they leave the network they are called on unchanged and return the
-changed copy.
+A network is changed in place, through the underscore operations
+(``_set_evidence``, ``_restrict``, ``_merge_nodes``) and
+``post_constraint``. Every change to ``nodes``, ``binding`` and the label
+index goes through ``_put``, ``_drop`` and ``_bind``, which log it on
+``trail``, the undo trail that the engine's ``Subst`` logs its bindings
+to, so one ``Subst.undo`` on backtracking reverts bindings and store
+together. Two public operations copy the network and change the copy,
+leaving the one they are called on as it was: ``set_evidence`` observes
+one node, and ``apply_substitution`` resolves every label under the
+answer's bindings to freeze an answer network.
 
 Nodes are frozen: a change replaces a node with a new object, never edits
 one. ``_factors`` caches each node's CPT factor for inference together
 with the node it was built from, and an entry counts only while that very
 node is stored, so replacing, dropping or restoring a node needs no
-invalidation and the cache is not on the trail.
+invalidation and the cache is not on the trail. Observing a node moves
+its entry to the observed node, since evidence changes neither its
+table, its domain nor its parents; an undo brings back the old node,
+whose factor is then built again.
 
 The label index maps each ground stored label, by ``term_sort_key``, to
 its node ids. Nodes whose stored label holds a variable are kept in a
@@ -46,7 +50,7 @@ from .errors import (
     NetworkCycleError,
     UnconstrainedParentError,
 )
-from .parser import parse_term, term_to_text
+from .parser import term_to_text
 from .program import CptSpec, Domain, col_index, column_count, value_position
 from .terms import (
     Atom,
@@ -219,51 +223,6 @@ class ConstraintNetwork:
     def _bind(self, var_id: int, nid: int) -> None:
         trail_set(self.trail, self.binding, var_id, nid)
 
-    # --- basic construction ----------------------------------------------
-
-    def add_node(
-        self,
-        label: Term,
-        domain: list[Term] | tuple[Term, ...],
-        table: list[float] | tuple[float, ...],
-        parents: list[int] | tuple[int, ...] = (),
-        evidence: Optional[Term] = None,
-        node_id: Optional[int] = None,
-    ) -> tuple["ConstraintNetwork", int]:
-        """Insert a node directly (network construction API, also used by
-        tests and the JSON loader). Raises on shape problems."""
-        net = self.copy()
-        return net, net._add_node(label, domain, table, parents, evidence, node_id)
-
-    def _add_node(self, label, domain, table, parents=(), evidence=None, node_id=None) -> int:
-        domain = Domain(domain)
-        table = tuple(float(x) for x in table)
-        parents = tuple(parents)
-        for p in parents:
-            if p not in self.nodes:
-                raise MalformedCptError(f"parent node {p} does not exist")
-        if len(set(parents)) != len(parents):
-            raise MalformedCptError("parents must be distinct")
-        expected = len(domain)
-        for p in parents:
-            expected *= self.nodes[p].cardinality
-        if len(table) != expected:
-            raise MalformedCptError(
-                f"table length {len(table)} does not match domain x parents ({expected})"
-            )
-        nid = node_id if node_id is not None else (max(self.nodes, default=-1) + 1)
-        if nid in self.nodes:
-            raise MalformedCptError(f"node id {nid} already in use")
-        ev_idx = None
-        if evidence is not None:
-            ev_idx = value_position(domain, evidence)
-            if ev_idx is None:
-                raise MalformedCptError(
-                    f"evidence value {term_to_text(evidence)} not in domain"
-                )
-        self._put(Node(nid, label, domain, table, parents, ev_idx))
-        return nid
-
     # --- evidence --------------------------------------------------------
 
     def set_evidence(self, node_id: int, value: Term) -> Optional["ConstraintNetwork"]:
@@ -284,7 +243,12 @@ class ConstraintNetwork:
                     f"{term_to_text(node.domain[node.evidence])}, got {term_to_text(value)}"
                 )
             return True
-        self._put(replace(node, evidence=idx))
+        observed = replace(node, evidence=idx)
+        entry = self._factors.get(node_id)
+        if entry is not None and entry[0] is node:
+            # evidence leaves the table, domain and parents as they were
+            self._factors[node_id] = (observed, entry[1])
+        self._put(observed)
         return True
 
     # --- posting -----------------------------------------------------------
@@ -478,17 +442,11 @@ class ConstraintNetwork:
 
     # --- domain restriction ------------------------------------------------
 
-    def restrict_node_domain(
-        self, node_id: int, keep: list[int]
-    ) -> Optional["ConstraintNetwork"]:
-        """Marginalize away domain values not in ``keep`` (conditioning):
-        drop the rows, renormalize columns, and restrict the node's slice
-        in every child's table. None if a column becomes all-zero or the
-        node's evidence value is dropped."""
-        net = self.copy()
-        return net if net._restrict(node_id, keep) else None
-
     def _restrict(self, node_id: int, keep: list[int]) -> bool:
+        """Keep only the domain values at positions ``keep`` (conditioning):
+        drop the other rows, renormalize columns, and restrict the node's
+        slice in every child's table. False if a column becomes all-zero or
+        the node's evidence value is dropped."""
         node = self.nodes[node_id]
         if keep == list(range(node.cardinality)):
             return True
@@ -541,23 +499,12 @@ class ConstraintNetwork:
 
     # --- whole-net substitution -------------------------------------------
 
-    def apply_substitution(self, subst: Subst) -> Optional["ConstraintNetwork"]:
-        """A copy with the bindings applied to every label. Domain values
-        that cannot be a denotation of the new label are marginalized away;
-        None if that empties a domain or zeroes a column."""
+    def apply_substitution(self, subst: Subst) -> "ConstraintNetwork":
+        """A copy with the bindings applied to every label."""
         net = self.copy()
         for nid in sorted(net.nodes):
             node = net.nodes[nid]
             new_label = subst.resolve(node.label)
-            if not (isinstance(new_label, Var) or net.is_skolem_term(new_label)):
-                keep = [
-                    i
-                    for i, val in enumerate(node.domain)
-                    if unify(val, new_label, Subst())
-                ]
-                if not net._restrict(nid, keep):
-                    return None
-            node = net.nodes[nid]
             if new_label is not node.label:
                 net._put(replace(node, label=new_label))
         return net
@@ -637,27 +584,3 @@ class ConstraintNetwork:
                 }
             )
         return {"nodes": nodes}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ConstraintNetwork":
-        net = cls()
-        functors = set()
-        entries = sorted(data["nodes"], key=lambda e: e["id"])
-        for e in entries:
-            label = parse_term(e["label"])
-            if isinstance(label, Struct):
-                functors.add((label.functor, label.arity))
-            elif isinstance(label, Atom):
-                functors.add((label.name, 0))
-            domain = [parse_term(v) for v in e["domain"]]
-            evidence = parse_term(e["evidence"]) if e.get("evidence") else None
-            net._add_node(
-                label,
-                domain,
-                e["table"],
-                e.get("parents", ()),
-                evidence=evidence,
-                node_id=e["id"],
-            )
-        net.skolem_functors = frozenset(functors)
-        return net

@@ -5,14 +5,26 @@ Sampler: node count uniform in [2, max_nodes]; domain sizes uniform in
 nodes (at most 3, to bound table width), each lower node kept with
 probability 0.4; tables are column-normalized uniforms, so every entry is
 strictly positive and any evidence assignment has nonzero probability.
+
+`add_node` builds networks by hand for tests: it adds one node in place,
+with the next free id.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from clpbn.network import ConstraintNetwork
-from clpbn.terms import Atom, Struct
+from clpbn.network import ConstraintNetwork, Node
+from clpbn.program import Domain
+from clpbn.terms import Atom, Struct, Term
+
+
+def add_node(net: ConstraintNetwork, label: Term, domain, table, parents=()) -> int:
+    """Add a node without evidence to net in place and return its id, one
+    above the largest in use."""
+    nid = max(net.nodes, default=-1) + 1
+    net._put(Node(nid, label, Domain(domain), tuple(map(float, table)), tuple(parents)))
+    return nid
 
 
 def random_net(
@@ -34,7 +46,8 @@ def random_net(
             cols *= sizes[p]
         table = rng.random((d, cols)) + 1e-3
         table = table / table.sum(axis=0)
-        net, nid = net.add_node(
+        nid = add_node(
+            net,
             Struct("n", (i,)),
             [Atom(f"v{k}") for k in range(d)],
             [float(x) for x in table.flatten()],

@@ -348,7 +348,7 @@ def count_rows(
 ) -> dict[tuple[str, int], tuple[np.ndarray, object, list[int]]]:
     """Per defining clause: pooled counts, one Python loop step per row."""
     insts, analysis = structural_instances(program, population)
-    net = _network(program, insts, analysis)
+    net, _ = _network(program, insts, analysis)
     label_to_node = {
         term_to_text(n.label): n for n in net.nodes.values()
     }

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 import clpbn
 from clpbn import cli, inference
 from clpbn.fixtures import SCHOOL_DRIVERS
-from clpbn.network import ConstraintNetwork
 
 DRIVER_ARGS = sum((["--driver", d] for d in SCHOOL_DRIVERS), [])
 
@@ -127,6 +126,22 @@ def test_query_inconsistent_evidence_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_query_level_constraints_keep_the_exit_code_contract(tmp_path, capsys):
+    prog = tmp_path / "coin.clpbn"
+    prog.write_text("coin(X) :- {X = c with p([h,t],[0.5,0.5],[])}.\n")
+    # foo(a) unifies with no value of the domain, yet it names X
+    assert run(["query", str(prog), "-q", "{X = foo(a) with p([h,t],[0.3,0.7],[])}."]) == 0
+    assert capsys.readouterr().out == "X = {h: 0.3, t: 0.7}\n"
+    for parents, table, message in [
+        ("[X]", [0.5] * 6, "table length 6 does not match domain x parents (4)"),
+        ("[X, X]", [0.5] * 8, "duplicate parent in constraint"),
+    ]:
+        cells = ",".join(map(str, table))
+        query = f"coin(X), {{Y = b with p([h,t],[{cells}],{parents})}}."
+        assert run(["query", str(prog), "-q", query]) == 2
+        assert capsys.readouterr().err == f"error: posting b: {message}\n"
+
+
 def test_query_depth_flag(capsys):
     code = run(["query", "hmm.clpbn", "-q", "caught(3, C).", "--depth", "4"])
     assert code == 1
@@ -208,9 +223,12 @@ def test_ground_json_roundtrip(capsys):
     argv = ["ground", "school.clpbn", "--format", "json"] + DRIVER_ARGS
     assert run(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    net = ConstraintNetwork.from_json(doc)
-    assert len(net) == 18
-    assert net.to_json() == doc
+    by_id = {n["id"]: n for n in doc["nodes"]}
+    assert len(by_id) == len({n["label"] for n in doc["nodes"]}) == 18
+    for n in doc["nodes"]:
+        cols = math.prod(len(by_id[p]["domain"]) for p in n["parents"])
+        assert len(n["table"]) == len(n["domain"]) * cols
+        assert n["evidence"] in [None] + n["domain"]
 
 
 def test_ground_with_fact(capsys):

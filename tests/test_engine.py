@@ -6,8 +6,10 @@ from clpbn.errors import (
     EngineError,
     FindallMergeError,
     LimitExceededError,
+    MalformedCptError,
     UnconstrainedParentError,
 )
+from clpbn.inference import marginal
 from clpbn.parser import term_to_text
 from clpbn.program import parse_program
 
@@ -210,6 +212,51 @@ def test_unconstrained_parent_raises():
     text = "bad(X, Y) :- {X = b1(a) with p([h,l],[0.5,0.5],[Y])}.\n"
     with pytest.raises(UnconstrainedParentError):
         list(solve(parse_program(text), "bad(X, Y)."))
+
+
+# Constraints posted from the query or by a goal built at run time name
+# random variables whose Skolem functors no clause declares (a/0, foo/1, h/0
+# here). A label names its variable and is never one of its values, so such
+# a variable keeps the distribution its constraint gives.
+COIN = """
+coin(X) :- {X = c with p([h,t],[0.5,0.5],[])}.
+run(G) :- G.
+"""
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        ("{X = a with p([a,b],[0.3,0.7],[])}.", {"a": 0.3, "b": 0.7}),
+        ("{X = foo(a) with p([h,t],[0.3,0.7],[])}.", {"h": 0.3, "t": 0.7}),
+        ("run({X = h with p([h,t],[0.3,0.7],[])}).", {"h": 0.3, "t": 0.7}),
+    ],
+)
+def test_undeclared_skolem_label_is_not_a_value(query, expected):
+    answers = list(solve(parse_program(COIN), query))
+    assert len(answers) == 1
+    ans = answers[0]
+    m = marginal(ans.network, ans.query_nodes["X"])
+    assert dict(zip(map(term_to_text, m.domain), m.probs)) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "constraint, message",
+    [
+        (
+            "{Y = b with p([h,t],[0.5,0.5,0.5,0.5,0.5,0.5],[X])}",
+            "posting b: table length 6 does not match domain x parents (4)",
+        ),
+        (
+            "{Y = b with p([h,t],[0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5],[X, X])}",
+            "posting b: duplicate parent in constraint",
+        ),
+    ],
+)
+def test_posting_checks_table_shape_against_parents(constraint, message):
+    with pytest.raises(MalformedCptError) as err:
+        list(solve(parse_program(COIN), f"coin(X), {constraint}."))
+    assert str(err.value) == message
 
 
 def test_findall_merges_derivations_whose_tables_agree():

@@ -10,8 +10,8 @@ from clpbn.fixtures import SCHOOL_DRIVERS, fixture_text
 from clpbn.network import ConstraintNetwork
 from clpbn.parser import parse_term, term_to_text
 from clpbn.program import parse_program
-from clpbn.terms import Atom, Struct
-from netgen import random_net
+from clpbn.terms import Atom, Struct, Subst
+from netgen import add_node, random_net
 from oracles import (
     JointSizeError,
     enumerate_joint,
@@ -116,7 +116,7 @@ def test_evidence_target_is_point_mass(school):
 
 def test_inconsistent_evidence_raises():
     net = ConstraintNetwork(skolem_functors=[("x", 1)])
-    net, a = net.add_node(parse_term("x(1)"), [parse_term("t"), parse_term("f")], [1.0, 0.0])
+    a = add_node(net, parse_term("x(1)"), [parse_term("t"), parse_term("f")], [1.0, 0.0])
     net = net.set_evidence(a, parse_term("f"))  # P(f) = 0
     with pytest.raises(InconsistentEvidenceError):
         inference.marginal(net, a)
@@ -127,8 +127,8 @@ def test_inconsistent_evidence_raises():
 def test_joint_size_guard():
     net = ConstraintNetwork(skolem_functors=[("x", 1)])
     for i in range(25):
-        net, _ = net.add_node(
-            parse_term(f"x({i})"), [parse_term("t"), parse_term("f")], [0.5, 0.5]
+        add_node(
+            net, parse_term(f"x({i})"), [parse_term("t"), parse_term("f")], [0.5, 0.5]
         )
     with pytest.raises(JointSizeError):
         enumerate_joint(net)
@@ -247,10 +247,10 @@ def test_all_marginals_vs_per_node_on_school(school, observed):
 def _two_chains():
     t, f = parse_term("t"), parse_term("f")
     net = ConstraintNetwork(skolem_functors=[("x", 1), ("y", 1)])
-    net, a = net.add_node(parse_term("x(1)"), [t, f], [0.3, 0.7])
-    net, b = net.add_node(parse_term("x(2)"), [t, f], [0.9, 0.2, 0.1, 0.8], [a])
-    net, c = net.add_node(parse_term("y(1)"), [t, f], [0.6, 0.4])
-    net, d = net.add_node(parse_term("y(2)"), [t, f], [0.5, 0.0, 0.5, 1.0], [c])
+    a = add_node(net, parse_term("x(1)"), [t, f], [0.3, 0.7])
+    b = add_node(net, parse_term("x(2)"), [t, f], [0.9, 0.2, 0.1, 0.8], [a])
+    c = add_node(net, parse_term("y(1)"), [t, f], [0.6, 0.4])
+    d = add_node(net, parse_term("y(2)"), [t, f], [0.5, 0.0, 0.5, 1.0], [c])
     return net
 
 
@@ -296,10 +296,10 @@ def _observed_coins(n: int, pairs: bool = False) -> ConstraintNetwork:
     for i in range(n):
         parents = []
         if pairs:
-            net, y = net.add_node(parse_term(f"y({i})"), [t, f], [0.5, 0.5])
+            y = add_node(net, parse_term(f"y({i})"), [t, f], [0.5, 0.5])
             parents = [y]
         table = [0.5, 0.5, 0.5, 0.5] if pairs else [0.5, 0.5]
-        net, x = net.add_node(parse_term(f"x({i})"), [t, f], table, parents)
+        x = add_node(net, parse_term(f"x({i})"), [t, f], table, parents)
         if i:
             net = net.set_evidence(x, t)
     return net
@@ -320,8 +320,8 @@ def test_many_observations_do_not_underflow(pairs):
 def test_all_marginals_zero_mass_column():
     t, f = parse_term("t"), parse_term("f")
     net = ConstraintNetwork(skolem_functors=[("x", 1)])
-    net, a = net.add_node(parse_term("x(1)"), [t, f], [0.5, 0.5])
-    net, _ = net.add_node(parse_term("x(2)"), [t, f], [0.4, 0.0, 0.6, 0.0], [a])
+    a = add_node(net, parse_term("x(1)"), [t, f], [0.5, 0.5])
+    add_node(net, parse_term("x(2)"), [t, f], [0.4, 0.0, 0.6, 0.0], [a])
     with pytest.raises(InferenceError, match="zero-mass"):
         inference.all_marginals(net)
 
@@ -406,13 +406,35 @@ def test_evidence_copies_reuse_the_base_factors(monkeypatch, school):
         inference.all_marginals(observed)
         inference.marginal(observed, observed.node_ids()[-1])
         inference.sample(observed, 3, seed=k)
-        # an observed node is a new object, so only its factor is built
+        # an observed node is a new object that keeps its node's factor
         replaced = [nid for nid in net.node_ids() if observed.nodes[nid] is not net.nodes[nid]]
-        assert sorted(built) == replaced and len(replaced) == k
-    # the copies cached their own entries without evicting the base's
+        assert built == [] and len(replaced) == k
+    # observing changed the copies' entries, not the base's
     built.clear()
     inference.all_marginals(net)
     assert built == []
+
+
+def test_undoing_evidence_rebuilds_the_restored_nodes_factor(monkeypatch):
+    net = _two_chains()
+    s = Subst()
+    net.trail = s.trail
+    built = []
+    original = inference.node_factor
+
+    def counting(n, node):
+        built.append(node.id)
+        return original(n, node)
+
+    monkeypatch.setattr(inference, "node_factor", counting)
+    before = inference.all_marginals(net)
+    mark = s.mark()
+    assert net._set_evidence(1, parse_term("f"))
+    built.clear()
+    observed = inference.all_marginals(net)
+    assert built == [] and observed[0].probs != before[0].probs
+    s.undo(mark)  # the cache is not on the trail: node 1's entry misses
+    assert inference.all_marginals(net) == before and built == [1]
 
 
 def _twin_net(rng):
@@ -426,10 +448,10 @@ def _twin_net(rng):
         node = net.nodes[int(nid)]
         d = node.cardinality - int(rng.integers(0, 2))
         cols = len(node.table) // node.cardinality
-        net, twin = net.add_node(node.label, node.domain[:d], node.table[: d * cols], node.parents)
+        twin = add_node(net, node.label, node.domain[:d], node.table[: d * cols], node.parents)
         table = rng.random((2, d)) + 1e-3
-        net, _ = net.add_node(Struct("kid", (twin,)), [Atom("a"), Atom("b")],
-                              (table / table.sum(axis=0)).ravel(), [twin])
+        add_node(net, Struct("kid", (twin,)), [Atom("a"), Atom("b")],
+                 (table / table.sum(axis=0)).ravel(), [twin])
         twins.append((node.id, twin))
     return net, twins
 
@@ -515,8 +537,8 @@ def test_sample_respects_evidence(school):
 
 def test_sample_frequencies_match_prior():
     net = ConstraintNetwork(skolem_functors=[("x", 1)])
-    net, a = net.add_node(
-        parse_term("x(1)"), [parse_term("t"), parse_term("f")], [0.25, 0.75]
+    a = add_node(
+        net, parse_term("x(1)"), [parse_term("t"), parse_term("f")], [0.25, 0.75]
     )
     _, draws = inference.sample(net, 20000, seed=5)
     freq = float((draws[:, 0] == 0).mean())

@@ -5,12 +5,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from clpbn.errors import MalformedCptError, NetworkCycleError
-from clpbn.network import ConstraintNetwork, normalize_columns
+from clpbn.errors import NetworkCycleError
+from clpbn.network import ConstraintNetwork, Node, normalize_columns
 from clpbn.parser import parse_term, term_to_text
 from clpbn.engine import Engine
 from clpbn.program import parse_program
 from clpbn.terms import Atom, Struct, Subst, Var, unify
+from netgen import add_node
 
 H, L = Atom("h"), Atom("l")
 
@@ -22,9 +23,9 @@ def _net():
 def _chain():
     """s(a) -> t(b): child table depends on the parent."""
     net = _net()
-    net, a = net.add_node(parse_term("s(a)"), [H, L], [0.7, 0.3])
-    net, b = net.add_node(
-        parse_term("t(b)"), [H, L], [0.9, 0.2, 0.1, 0.8], parents=[a]
+    a = add_node(net, parse_term("s(a)"), [H, L], [0.7, 0.3])
+    b = add_node(
+        net, parse_term("t(b)"), [H, L], [0.9, 0.2, 0.1, 0.8], parents=[a]
     )
     return net, a, b
 
@@ -34,25 +35,6 @@ def test_add_node_assigns_ids():
     assert (a, b) == (0, 1)
     assert net.node_ids() == [0, 1]
     assert net.nodes[b].parents == (a,)
-
-
-def test_add_node_rejects_bad_shapes():
-    net = _net()
-    with pytest.raises(MalformedCptError):
-        net.add_node(parse_term("s(a)"), [H, L], [0.5, 0.5, 0.5])
-    with pytest.raises(MalformedCptError):
-        net.add_node(parse_term("s(a)"), [H, L], [0.5, 0.5], parents=[4])
-    net, a = net.add_node(parse_term("s(a)"), [H, L], [0.5, 0.5])
-    with pytest.raises(MalformedCptError):
-        net.add_node(parse_term("t(b)"), [H, L], [0.5, 0.5], parents=[a, a])
-    with pytest.raises(MalformedCptError):
-        net.add_node(parse_term("t(b)"), [H, L], [0.5, 0.5], evidence=Atom("x"))
-
-
-def test_add_node_is_copy_on_write():
-    net0 = _net()
-    net1, _ = net0.add_node(parse_term("s(a)"), [H, L], [0.5, 0.5])
-    assert len(net0) == 0 and len(net1) == 1
 
 
 def test_normalize_columns():
@@ -81,10 +63,10 @@ def test_find_by_label():
 
 def test_topological_order_ties_by_id():
     net = _net()
-    net, a = net.add_node(parse_term("s(a)"), [H, L], [0.5, 0.5])
-    net, b = net.add_node(parse_term("s(b)"), [H, L], [0.5, 0.5])
-    net, c = net.add_node(
-        parse_term("s(c)"), [H, L], [0.5, 0.5, 0.5, 0.5], parents=[b]
+    a = add_node(net, parse_term("s(a)"), [H, L], [0.5, 0.5])
+    b = add_node(net, parse_term("s(b)"), [H, L], [0.5, 0.5])
+    c = add_node(
+        net, parse_term("s(c)"), [H, L], [0.5, 0.5, 0.5, 0.5], parents=[b]
     )
     assert net.topological_order() == [a, b, c]
 
@@ -107,10 +89,10 @@ def test_cycle_detection_and_order_error():
 def test_long_chain_acyclic_and_order():
     # 1,200 links: deeper than Python's default recursion limit
     net = _net()
-    net, prev = net.add_node(Struct("s", (0,)), [H, L], [0.5, 0.5])
+    prev = add_node(net, Struct("s", (0,)), [H, L], [0.5, 0.5])
     for i in range(1, 1200):
-        net, prev = net.add_node(
-            Struct("s", (i,)), [H, L], [0.7, 0.2, 0.3, 0.8], parents=[prev]
+        prev = add_node(
+            net, Struct("s", (i,)), [H, L], [0.7, 0.2, 0.3, 0.8], parents=[prev]
         )
     assert net.check_acyclic() == (True, [])
     assert net.topological_order() == list(range(1200))
@@ -178,43 +160,43 @@ def test_merge_conflicting_labels_fails():
 
 def test_restrict_node_domain_conditions_children():
     net, a, b = _chain()
-    out = net.restrict_node_domain(a, [0])  # keep h only
-    assert out is not None
+    out = net.copy()
+    assert out._restrict(a, [0])  # keep h only
     pa = out.nodes[a]
     assert pa.domain == (H,)
     assert pa.table == (1.0,)
     child = out.nodes[b]
     # child lost the parent=l column
     assert child.table == (0.9, 0.1)
-    assert net.restrict_node_domain(a, []) is None
+    assert net.nodes[a].domain == (H, L)  # the copy was changed, not net
+    assert not net.copy()._restrict(a, [])
 
 
 def test_apply_substitution_specializes_labels():
     net = _net()
     x = Var(105, "X")
     label = Struct("s", (x,))
-    net, a = net.add_node(label, [H, L], [0.6, 0.4])
+    a = add_node(net, label, [H, L], [0.6, 0.4])
     s = Subst()
     assert unify(x, Atom("a"), s)
     out = net.apply_substitution(s)
-    assert out is not None
     assert term_to_text(out.nodes[a].label) == "s(a)"
+    assert net.nodes[a].label is label  # original untouched
 
 
 def test_json_roundtrip():
     net, a, b = _chain()
     net = net.set_evidence(a, L)
     doc = net.to_json()
-    text = json.dumps(doc, sort_keys=True)
-    back = ConstraintNetwork.from_json(json.loads(text))
-    assert back.node_ids() == net.node_ids()
-    for nid in net.node_ids():
-        n1, n2 = net.nodes[nid], back.nodes[nid]
-        assert term_to_text(n1.label) == term_to_text(n2.label)
-        assert n1.table == n2.table
-        assert n1.parents == n2.parents
-        assert n1.evidence == n2.evidence
-    assert json.dumps(back.to_json(), sort_keys=True) == text
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc == {
+        "nodes": [
+            {"id": a, "label": "s(a)", "domain": ["h", "l"], "parents": [],
+             "table": [0.7, 0.3], "evidence": "l"},
+            {"id": b, "label": "t(b)", "domain": ["h", "l"], "parents": [a],
+             "table": [0.9, 0.2, 0.1, 0.8], "evidence": None},
+        ]
+    }
 
 
 # --- the label index and the undo trail ------------------------------------------
@@ -271,7 +253,8 @@ def test_find_by_label_matches_linear_scan_across_backtracking():
             roll = rng.random()
             if roll < 0.45:
                 free = [i for i in range(100, 130) if i not in net.nodes]
-                net._add_node(_label(rng), [H, L], [0.5, 0.5], node_id=rng.choice(free))
+                label = _label(rng)
+                net._put(Node(rng.choice(free), label, (H, L), (0.5, 0.5), ()))
             elif roll < 0.7:
                 # a later binding can make a stored label ground
                 v = rng.choice([x for x in _LABEL_ARGS if isinstance(x, Var)])
