@@ -76,6 +76,10 @@ CASES = {
     "check_cyclic": ["check", "cyclic.clpbn", *JSON],
     "check_int_table": ["check", "int_table.clpbn", *JSON],
     "check_wf3": ["check", _input("check_wf3.clpbn"), *JSON],
+    "compile_prm_school": [
+        "compile-prm", "--schema", "school_schema.json",
+        "--skeleton", "school_skeleton_small.json", *JSON,
+    ],
 }
 
 
