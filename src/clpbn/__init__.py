@@ -7,7 +7,6 @@ from . import inference, learn, prm
 from .engine import Answer, Engine, solve
 from .errors import ClpbnError
 from .inference import (
-    agreement_check,
     agreement_sweep,
     all_marginals,
     ground_program,
@@ -25,7 +24,7 @@ from .learn import (
 )
 from .network import ConstraintNetwork, Node
 from .parser import parse_term, term_to_text
-from .prm import compile_prm, load_schema, roundtrip_check
+from .prm import compile_prm, load_schema
 from .program import Program, parse_program, validate
 
 __version__ = "0.1.0"
@@ -39,7 +38,6 @@ __all__ = [
     "Program",
     "SampleSet",
     "StructureReport",
-    "agreement_check",
     "agreement_sweep",
     "all_marginals",
     "bic_score",
@@ -55,7 +53,6 @@ __all__ = [
     "parse_term",
     "prm",
     "remove_cycles",
-    "roundtrip_check",
     "sample",
     "sample_csv",
     "solve",

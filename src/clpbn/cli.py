@@ -56,11 +56,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     p = Path(path)
-    if p.exists():
-        return p.read_text()
-    if path in fixture_names():
-        return fixture_text(path)
-    raise InvalidProgramError(f"cannot read {path}: no such file")
+    if not p.exists():
+        if path in fixture_names():
+            return fixture_text(path)
+        raise InvalidProgramError(f"cannot read {path}: no such file")
+    try:
+        return p.read_text(encoding="utf-8")
+    except OSError as e:
+        raise InvalidProgramError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InvalidProgramError(f"cannot read {path}: not UTF-8 text ({e.reason})") from None
 
 
 def _load_program(path: str, tolerance: float, report: bool = True) -> Program:

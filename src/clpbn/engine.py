@@ -108,9 +108,6 @@ class Answer:
     network: ConstraintNetwork
     query_nodes: dict[str, int]  # query variables that ended up constrained
 
-    def binding_text(self) -> dict[str, str]:
-        return {name: term_to_text(t) for name, t in self.bindings.items()}
-
 
 def _cons(entries: list, rest=None):
     out = rest

@@ -17,7 +17,7 @@ what transposing both operands onto that union and multiplying gives.
 
 The module also houses forward sampling (seeded, reproducible, CSV
 output), whole-program grounding over a population of facts, and the
-agreement checks that compare query-time networks against the fully
+agreement sweep that compares query-time networks against the fully
 ground network.
 """
 
@@ -36,7 +36,7 @@ from .errors import GroundingError, InconsistentEvidenceError, InferenceError
 from .network import ConstraintNetwork, Node
 from .parser import parse_term, term_to_text
 from .program import Program, parse_query, with_population
-from .terms import FreshVars, Struct, Term, is_ground, mkconj, term_equal
+from .terms import FreshVars, Struct, Term, is_ground, mkconj
 
 NodeRef = Union[int, str, Term]
 
@@ -154,27 +154,12 @@ class Marginal:
     domain: tuple[Term, ...]
     probs: tuple[float, ...]
 
-    def prob(self, value: Term) -> float:
-        for v, p in zip(self.domain, self.probs):
-            if term_equal(v, value):
-                return p
-        raise InferenceError(
-            f"{term_to_text(value)} is not in the domain of "
-            f"{term_to_text(self.label)}"
-        )
-
     def to_json(self) -> dict:
         return {
             "node": term_to_text(self.label),
             "domain": [term_to_text(v) for v in self.domain],
             "probs": list(self.probs),
         }
-
-    def __str__(self) -> str:
-        pairs = ", ".join(
-            f"{term_to_text(v)}: {p:.6g}" for v, p in zip(self.domain, self.probs)
-        )
-        return f"{term_to_text(self.label)} = {{{pairs}}}"
 
 
 def resolve_node(net: ConstraintNetwork, node: NodeRef) -> int:
@@ -484,84 +469,6 @@ def ground_program(
 
 
 # --- query-vs-ground agreement -------------------------------------------------
-
-
-def _transfer_evidence(
-    ground: ConstraintNetwork, answer_net: ConstraintNetwork
-) -> Optional[ConstraintNetwork]:
-    """Copy the answer network's evidence onto the ground network by label."""
-    g = ground
-    for nid in answer_net.node_ids():
-        node = answer_net.nodes[nid]
-        if node.evidence is None:
-            continue
-        gid = g.find_by_label(node.label)
-        if gid is None:
-            raise GroundingError(
-                f"evidence node {term_to_text(node.label)} is missing from "
-                "the ground network"
-            )
-        g2 = g.set_evidence(gid, node.evidence_value())
-        if g2 is None:
-            return None
-        g = g2
-    return g
-
-
-def agreement_check(
-    program: Program,
-    query: str,
-    population: Iterable[Term] = (),
-    drivers: Optional[Sequence[Union[Term, str]]] = None,
-    limit: int = 1,
-    tolerance: float = 1e-9,
-) -> dict:
-    """Compare query-network marginals against ground-network marginals.
-
-    Solves the query, then for every constrained query variable computes its
-    marginal twice: once on the answer's own network, once on the full ground
-    network carrying the same evidence. Reports both distributions and the
-    largest absolute difference seen.
-    """
-    from .engine import Engine
-
-    prog = with_population(program, population)
-    ground = ground_program(prog, drivers=drivers)
-    engine = Engine(prog)
-    entries = []
-    worst = 0.0
-    answers = list(engine.solve_text(query, limit=limit))
-    for ans in answers:
-        gnet = _transfer_evidence(ground, ans.network)
-        for name in sorted(ans.query_nodes):
-            nid = ans.query_nodes[name]
-            m_query = marginal(ans.network, nid)
-            if gnet is None:
-                raise InconsistentEvidenceError(
-                    "evidence rejected by the ground network but accepted "
-                    "by the query network"
-                )
-            m_ground = marginal(gnet, resolve_node(gnet, m_query.label))
-            diff = max(
-                abs(a - b) for a, b in zip(m_query.probs, m_ground.probs)
-            )
-            worst = max(worst, diff)
-            entries.append(
-                {
-                    "variable": name,
-                    "node": term_to_text(m_query.label),
-                    "query_probs": list(m_query.probs),
-                    "ground_probs": list(m_ground.probs),
-                    "max_abs_diff": diff,
-                }
-            )
-    return {
-        "query": query,
-        "answers": len(answers),
-        "entries": entries,
-        "max_abs_diff": worst,
-        "agree": worst <= tolerance,
-    }
 
 
 def agreement_sweep(

@@ -99,13 +99,6 @@ class SampleSet:
         rows = [row for row in reader if row]
         return cls(header, rows, provenance or {})
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return buf.getvalue()
-
     def column(self, label_text: str) -> int:
         """Position of the first column named label_text."""
         j = self._column_of.get(label_text)

@@ -84,9 +84,6 @@ class Node:
     def cardinality(self) -> int:
         return len(self.domain)
 
-    def evidence_value(self) -> Optional[Term]:
-        return self.domain[self.evidence] if self.evidence is not None else None
-
 
 def normalize_columns(table: list[float], d: int) -> Optional[list[float]]:
     """Divide each column by its sum; None if any column sums to zero."""

@@ -161,10 +161,6 @@ class _Reader:
             raise ClpbnSyntaxError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
         return t
 
-    def err(self, msg: str) -> ClpbnSyntaxError:
-        t = self.peek()
-        return ClpbnSyntaxError(msg, t.line, t.col)
-
     # --- term reading -------------------------------------------------
 
     def read_term(self, maxp: int) -> Term:

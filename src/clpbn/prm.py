@@ -21,12 +21,13 @@ entry at all, the field's clause derives them.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import PrmError
 from .parser import term_to_text
-from .program import Program, parse_program
+from .program import parse_program
 from .terms import Atom, FreshVars, Struct, Term, Var, conj_items, mkconj, mklist, term_equal
 
 AGGREGATORS = ("mean", "mode", "min", "max")
@@ -86,6 +87,20 @@ def _value_term(v: Union[str, int, float]) -> Term:
     return Atom(str(v))
 
 
+@contextmanager
+def _malformed(what: str):
+    """Reports a JSON document of the wrong shape as a PrmError. A decorated
+    function reads that document in nearly every statement, so any of these
+    errors means the document, not the compiler, is at fault."""
+    try:
+        yield
+    except KeyError as e:
+        raise PrmError(f"malformed {what}: missing entry {e}") from None
+    except (AttributeError, IndexError, RecursionError, TypeError, ValueError) as e:
+        raise PrmError(f"malformed {what}: {e}") from None
+
+
+@_malformed("schema")
 def load_schema(source: Union[str, dict]) -> PrmSchema:
     data = json.loads(source) if isinstance(source, str) else source
     tables: dict[str, Table] = {}
@@ -409,13 +424,10 @@ def compile_schema_text(schema: PrmSchema) -> str:
     return "\n".join(lines)
 
 
-def compile_schema(schema: PrmSchema) -> Program:
-    return parse_program(compile_schema_text(schema))
-
-
 # --- skeleton -----------------------------------------------------------------
 
 
+@_malformed("skeleton")
 def compile_skeleton_text(schema: PrmSchema, skeleton: Union[str, dict]) -> str:
     data = json.loads(skeleton) if isinstance(skeleton, str) else skeleton
     for tname in data:
@@ -502,107 +514,3 @@ def compile_prm(
     program.ensure_valid()
     return text
 
-
-# --- round trip ---------------------------------------------------------------
-
-
-def default_roundtrip_queries(skeleton: Union[str, dict]) -> list[dict]:
-    """Every grade and intelligence query the small school data supports,
-    each phrased for the compiled program and for the hand-written one."""
-    data = json.loads(skeleton) if isinstance(skeleton, str) else skeleton
-    queries = []
-    for row in data.get("registration", []):
-        key = row.get("registration")
-        if key is None:
-            continue
-        queries.append(
-            {
-                "compiled": f"registration4({key}, G).",
-                "reference": f"grade({key}, G).",
-                "var": "G",
-            }
-        )
-    for row in data.get("student", []):
-        key = row.get("student")
-        if key is None:
-            continue
-        queries.append(
-            {
-                "compiled": f"student2({key}, I).",
-                "reference": f"intelligence({key}, I).",
-                "var": "I",
-            }
-        )
-    return queries
-
-
-def roundtrip_check(
-    schema: Union[PrmSchema, str, dict],
-    skeleton: Union[str, dict],
-    queries: Optional[list[dict]] = None,
-    reference: Union[Program, str, None] = None,
-    tolerance: float = 1e-9,
-) -> dict:
-    """Compare marginals of the compiled program against a reference program.
-
-    Each query is {"compiled": text, "reference": text, "var": name}; the
-    named variable must be constrained on both sides. Queries that fail must
-    fail on both sides to count as agreement. With no queries given, every
-    grade and intelligence variable in the skeleton is checked.
-    """
-    from .engine import Engine
-    from .inference import marginal
-
-    if queries is None:
-        queries = default_roundtrip_queries(skeleton)
-    if reference is None:
-        from .fixtures import fixture_text
-
-        reference = fixture_text("school.clpbn")
-    ref_prog = (
-        reference if isinstance(reference, Program) else parse_program(reference)
-    )
-    compiled = parse_program(compile_prm(schema, skeleton))
-    eng_c = Engine(compiled)
-    eng_r = Engine(ref_prog)
-    entries = []
-    worst = 0.0
-    for q in queries:
-        var = q["var"]
-        probs = {}
-        for side, eng, text in (
-            ("compiled", eng_c, q["compiled"]),
-            ("reference", eng_r, q["reference"]),
-        ):
-            ans = next(eng.solve_text(text, limit=1), None)
-            if ans is None or var not in ans.query_nodes:
-                probs[side] = None
-            else:
-                probs[side] = marginal(ans.network, ans.query_nodes[var]).probs
-        if probs["compiled"] is None or probs["reference"] is None:
-            diff = 0.0 if probs["compiled"] == probs["reference"] else float("inf")
-        else:
-            diff = max(
-                abs(a - b)
-                for a, b in zip(probs["compiled"], probs["reference"])
-            )
-        worst = max(worst, diff)
-        entries.append(
-            {
-                "compiled": q["compiled"],
-                "reference": q["reference"],
-                "variable": var,
-                "compiled_probs": (
-                    list(probs["compiled"]) if probs["compiled"] else None
-                ),
-                "reference_probs": (
-                    list(probs["reference"]) if probs["reference"] else None
-                ),
-                "max_abs_diff": diff,
-            }
-        )
-    return {
-        "entries": entries,
-        "max_abs_diff": worst,
-        "agree": worst <= tolerance,
-    }

@@ -182,7 +182,7 @@ class Program:
                 }
             elif isinstance(g, Struct) and g.functor == "evidence" and g.arity == 2:
                 self.evidence.append((g.args[0], g.args[1]))
-        self._diagnostics: Optional[list[Diagnostic]] = None
+        self._diagnostics: dict[float, list[Diagnostic]] = {}  # by tolerance
 
     # --- structure ----------------------------------------------------
 
@@ -212,9 +212,9 @@ class Program:
     # --- validation ---------------------------------------------------
 
     def validate(self, tolerance: float = NORMALIZATION_TOLERANCE) -> list[Diagnostic]:
-        if self._diagnostics is None:
-            self._diagnostics = validate(self, tolerance=tolerance)
-        return self._diagnostics
+        if tolerance not in self._diagnostics:
+            self._diagnostics[tolerance] = validate(self, tolerance=tolerance)
+        return self._diagnostics[tolerance]
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.validate() if d.severity == "error"]

@@ -45,6 +45,10 @@ walks; the explicit-stack versions in `clpbn.terms` must give equal results
 `hmm_chain_forward` is the posterior of `c(n)` in `hmm_fixed.clpbn` by a
 forward recursion over the four (c, p) states; it never builds a network,
 so it checks chains far longer than joint enumeration can.
+
+`prm_roundtrip_diffs` compares the program compiled from a school schema
+and skeleton with the hand-written `school.clpbn`, grade by grade and
+intelligence by intelligence.
 """
 
 from __future__ import annotations
@@ -53,12 +57,15 @@ from typing import Iterable
 
 import numpy as np
 
+from clpbn.engine import solve
 from clpbn.errors import InconsistentEvidenceError, InferenceError, LearnError
+from clpbn.fixtures import fixture_text
 from clpbn.inference import (
     Factor,
     Marginal,
     NodeRef,
     _clamped_factors,
+    marginal,
     node_factor,
     resolve_node,
 )
@@ -75,7 +82,8 @@ from clpbn.learn import (
 )
 from clpbn.network import ConstraintNetwork
 from clpbn.parser import term_to_text
-from clpbn.program import Program, with_population
+from clpbn.prm import compile_prm
+from clpbn.program import Program, parse_program, with_population
 from clpbn.terms import (
     Atom,
     FreshVars,
@@ -482,3 +490,23 @@ def hmm_chain_forward(n: int, evidence: dict[int, str] | None = None) -> tuple[f
         alpha = observe(alpha / alpha.sum() @ step, i)
     t, f = alpha[:2].sum(), alpha[2:].sum()
     return float(t / (t + f)), float(f / (t + f))
+
+
+def prm_roundtrip_diffs(schema: dict, skeleton: dict) -> list[float]:
+    """Largest marginal difference per registration grade and per student
+    intelligence in the skeleton, compiled program against school.clpbn."""
+    compiled = parse_program(compile_prm(schema, skeleton))
+    reference = parse_program(fixture_text("school.clpbn"))
+    pairs = [(f"registration4({r['registration']}, X).", f"grade({r['registration']}, X).")
+             for r in skeleton["registration"]]
+    pairs += [(f"student2({s['student']}, X).", f"intelligence({s['student']}, X).")
+              for s in skeleton["student"]]
+    diffs = []
+    for query_compiled, query_reference in pairs:
+        probs = []
+        for program, query in ((compiled, query_compiled), (reference, query_reference)):
+            [answer] = solve(program, query, limit=1)
+            probs.append(marginal(answer.network, answer.query_nodes["X"]).probs)
+        assert len(probs[0]) == len(probs[1])
+        diffs.append(max(abs(a - b) for a, b in zip(*probs)))
+    return diffs

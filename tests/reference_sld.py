@@ -20,6 +20,11 @@ from clpbn.program import parse_query
 from clpbn.terms import Atom, Struct, Term, Var
 
 
+def binding_text(answer) -> dict[str, str]:
+    """An engine answer's bindings, printed: the form `Reference.answers` gives."""
+    return {name: term_to_text(t) for name, t in answer.bindings.items()}
+
+
 class _Cut(Exception):
     def __init__(self, barrier: int) -> None:
         self.barrier = barrier

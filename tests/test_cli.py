@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import clpbn
 from clpbn import cli, inference
-from clpbn.fixtures import SCHOOL_DRIVERS
+from clpbn.fixtures import SCHOOL_DRIVERS, fixture_text
 
 DRIVER_ARGS = sum((["--driver", d] for d in SCHOOL_DRIVERS), [])
 
@@ -265,6 +265,53 @@ def test_compile_prm(capsys):
     out = capsys.readouterr().out
     assert "registration4(" in out
     assert "professor2(" in out
+
+
+def _school_schema_without_grade_domain() -> str:
+    doc = json.loads(fixture_text("school_schema.json"))
+    del doc["tables"][3]["probabilistic"]["grade"]["domain"]
+    return json.dumps(doc)
+
+
+# case -> (input, its text, the start of the one error line compile-prm prints)
+MALFORMED_PRM = {
+    "schema-empty": ("schema", "{}", "malformed schema: missing entry 'tables'"),
+    "schema-no-fields": (
+        "schema", '{"tables": [{"name": "a"}]}', "malformed schema: missing entry 'fields'"),
+    "schema-no-domain": (
+        "schema", _school_schema_without_grade_domain(), "malformed schema: missing entry 'domain'"),
+    "schema-not-json": (
+        "schema", "not json", "malformed schema: Expecting value: line 1 column 1 (char 0)"),
+    "schema-list": (
+        "schema", "[1, 2]", "malformed schema: list indices must be integers or slices, not str"),
+    "schema-too-deep": (
+        "schema", "[" * 100_000, "malformed schema: maximum recursion depth exceeded"),
+    "skeleton-row-not-object": (
+        "skeleton", '{"student": [1]}', "malformed skeleton: 'int' object has no attribute 'values'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRM))
+def test_malformed_prm_inputs_keep_the_exit_code_contract(tmp_path, case):
+    which, text, message = MALFORMED_PRM[case]
+    path = tmp_path / f"{which}.json"
+    path.write_text(text)
+    files = {"schema": "school_schema.json", "skeleton": "school_skeleton_small.json", which: str(path)}
+    code, out, err = _main_captured(
+        ["compile-prm", "--schema", files["schema"], "--skeleton", files["skeleton"]]
+    )
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(f"error: {message}")
+
+
+def test_unreadable_inputs_exit_2(tmp_path):
+    binary = tmp_path / "samples.csv"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, out, err = _main_captured(["check", str(tmp_path)])
+    assert (code, out, err) == (2, "", f"error: cannot read {tmp_path}: Is a directory\n")
+    code, out, err = _main_captured(["fit", "school.clpbn", "--samples", str(binary)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {binary}: not UTF-8 text (invalid start byte)\n"
 
 
 # --- fit / score / compare ----------------------------------------------------------

@@ -13,6 +13,8 @@ from clpbn.inference import marginal
 from clpbn.parser import term_to_text
 from clpbn.program import parse_program
 
+from reference_sld import binding_text
+
 PURE = """
 edge(a, b).
 edge(b, c).
@@ -23,7 +25,7 @@ path(X, Z) :- edge(X, Y), path(Y, Z).
 
 
 def _answers(text, query, limit=None):
-    return [a.binding_text() for a in solve(parse_program(text), query, limit)]
+    return [binding_text(a) for a in solve(parse_program(text), query, limit)]
 
 
 def test_fact_lookup_order():
@@ -171,7 +173,8 @@ def test_ground_argument_at_constraint_position_is_evidence(school):
     ans = next(eng.solve_text("grade(r2, a), intelligence(ann, I)."))
     gid = ans.network.find_by_label(parse_term_label("grade(r2)"))
     assert gid is not None
-    assert term_to_text(ans.network.nodes[gid].evidence_value()) == "a"
+    node = ans.network.nodes[gid]
+    assert term_to_text(node.domain[node.evidence]) == "a"
 
 
 def parse_term_label(text):
@@ -314,8 +317,8 @@ decision(D) :-
 
 def test_answers_are_reproducible(school):
     eng = Engine(school)
-    first = [a.binding_text() for a in eng.solve_text("reg(R, C, S).", limit=None)]
-    second = [a.binding_text() for a in eng.solve_text("reg(R, C, S).", limit=None)]
+    first = [binding_text(a) for a in eng.solve_text("reg(R, C, S).", limit=None)]
+    second = [binding_text(a) for a in eng.solve_text("reg(R, C, S).", limit=None)]
     assert first == second == [
         {"R": "r1", "C": "c1", "S": "bob"},
         {"R": "r2", "C": "c1", "S": "ann"},

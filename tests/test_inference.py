@@ -593,22 +593,14 @@ def test_ground_with_population(school):
         merged, drivers=SCHOOL_DRIVERS
     ).to_json()
     assert len(inference.ground_program(school, drivers=SCHOOL_DRIVERS)) == 18
-    report = inference.agreement_check(
-        school, "grade(r4, G).", population=pop, drivers=SCHOOL_DRIVERS
-    )
-    assert report["agree"] and report["entries"]
+    report = inference.agreement_sweep(school, drivers=SCHOOL_DRIVERS, population=pop)
+    assert report["agree"], report["failures"]
+    assert report["comparisons"] > inference.agreement_sweep(
+        school, drivers=SCHOOL_DRIVERS
+    )["comparisons"]
 
 
 # --- agreement --------------------------------------------------------------------
-
-
-def test_agreement_check_single_query(school):
-    report = inference.agreement_check(
-        school, "grade(r2, G).", drivers=SCHOOL_DRIVERS
-    )
-    assert report["agree"]
-    assert report["max_abs_diff"] <= TOL
-    assert report["entries"]
 
 
 def test_agreement_sweep_school(school):

@@ -75,8 +75,8 @@ def _cyclic_samples(seed, n=4000, independent_b=True):
 
 
 def test_sampleset_csv_roundtrip():
-    s = SampleSet(["x", "y"], [["a", "1"], ["b", "2"]])
-    assert SampleSet.from_csv(s.to_csv()).rows == s.rows
+    s = SampleSet.from_csv('x,y\na,1\n\n"b,c",2\n')
+    assert (s.columns, s.rows) == (["x", "y"], [["a", "1"], ["b,c", "2"]])
 
 
 def test_sampleset_rejects_ragged():

@@ -12,7 +12,7 @@ import pytest
 from clpbn.engine import solve
 from clpbn.program import parse_program
 
-from reference_sld import Reference
+from reference_sld import Reference, binding_text
 
 EDGES = """
 edge(a, b).
@@ -195,7 +195,7 @@ def test_corpus_has_twenty_distinct_programs():
 
 @pytest.mark.parametrize("name,program,query", CASES, ids=[c[0] for c in CASES])
 def test_engine_matches_reference(name, program, query):
-    got = [a.binding_text() for a in solve(parse_program(program), query)]
+    got = [binding_text(a) for a in solve(parse_program(program), query)]
     want = Reference(program).answers(query)
     assert got == want
     if name in EMPTY_OK:

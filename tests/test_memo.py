@@ -22,6 +22,7 @@ from clpbn.inference import _driver_goals, all_marginals, marginal
 from clpbn.parser import term_to_text
 from clpbn.program import parse_program
 from oracles import hmm_chain_forward
+from reference_sld import binding_text
 
 
 @contextmanager
@@ -66,7 +67,7 @@ def _assert_same_marginals(a, b) -> None:
 def _answer_key(ans):
     net = ans.network
     nodes = {k: term_to_text(net.nodes[nid].label) for k, nid in ans.query_nodes.items()}
-    return ans.binding_text(), nodes, _network_key(net)
+    return binding_text(ans), nodes, _network_key(net)
 
 
 def _assert_query_agrees(program, query: str) -> None:
@@ -237,7 +238,7 @@ def test_answer_with_a_non_ground_label_is_not_memoed(monkeypatch):
 def test_memo_whose_answer_was_bound_since_is_not_reused(hmm_fixed):
     query = "watch(3, P), P = m, watch(3, Q)."
     ans = next(Engine(hmm_fixed).solve_text(query))
-    assert ans.binding_text() == {"P": "m", "Q": "Q"}
+    assert binding_text(ans) == {"P": "m", "Q": "Q"}
     assert term_to_text(ans.network.nodes[ans.query_nodes["Q"]].label) == "p(3)"
     _assert_query_agrees(hmm_fixed, query)
 
@@ -248,7 +249,7 @@ def test_last_answer_of_a_call_with_several_is_not_memoed():
         "v(2, X) :- {X = a(2) with p([t,f], [0.5,0.5], [])}.\n"
     )
     answers = list(Engine(program).solve_text("v(K, X), v(L, Y)."))
-    pairs = [(a.binding_text()["K"], a.binding_text()["L"]) for a in answers]
+    pairs = [(binding_text(a)["K"], binding_text(a)["L"]) for a in answers]
     assert pairs == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
     _assert_query_agrees(program, "v(K, X), v(L, Y).")
 

@@ -50,7 +50,7 @@ def test_set_evidence():
     net, a, b = _chain()
     net2 = net.set_evidence(a, H)
     assert net2 is not None
-    assert net2.nodes[a].evidence_value() == H
+    assert net2.nodes[a].domain[net2.nodes[a].evidence] == H
     assert net.nodes[a].evidence is None  # original untouched
     assert net.set_evidence(a, Atom("nope")) is None
 

@@ -105,6 +105,13 @@ def test_non_normalized_column_threshold():
     assert _codes(near) == []
 
 
+def test_validate_honours_each_tolerance_on_one_program():
+    program = parse_program("n1(X) :- {X = s9(a) with p([h,l],[0.6,0.5],[])}.\n")
+    assert [d.code for d in program.validate(1e-6)] == ["non-normalized-column"]
+    assert program.validate(0.5) == []
+    assert program.validate(1e-6) is program.validate(1e-6)
+
+
 def test_fact_scan_warns_on_non_normalized_bound_table(school):
     from clpbn.fixtures import fixture_text
 
