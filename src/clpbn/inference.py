@@ -381,37 +381,53 @@ def sample(net: ConstraintNetwork, n: int, seed: int) -> tuple[list[int], np.nda
     """
     order = net.topological_order()
     rng = np.random.default_rng(seed)
-    col_of = {nid: j for j, nid in enumerate(order)}
-    out = np.zeros((n, len(order)), dtype=np.int64)
+    row_of = {nid: j for j, nid in enumerate(order)}
+    out = np.zeros((len(order), n), dtype=np.int64)  # one row per node
     for j, nid in enumerate(order):
         node = net.nodes[nid]
         if node.evidence is not None:
-            out[:, j] = node.evidence
+            out[j] = node.evidence
             continue
         d = node.cardinality
-        cum = np.cumsum(_cpt_factor(net, nid).values.reshape(d, -1), axis=0)
-        col = np.zeros(n, dtype=np.int64)
-        for p, size in zip(node.parents, net.parent_sizes(node)):
-            col = col * size + out[:, col_of[p]]
-        cum = cum[:, col]  # shape (d, n)
-        draws = rng.random(n)
-        out[:, j] = np.minimum((draws[None, :] >= cum).sum(axis=0), d - 1)
-    return order, out
+        # a draw's value is the number of cumulative rows at or below it;
+        # the sums never decrease, so the last row need not be compared
+        cum = np.cumsum(_cpt_factor(net, nid).values.reshape(d, -1), axis=0)[: d - 1]
+        if node.parents:
+            col = np.zeros(n, dtype=np.int64)
+            for p, size in zip(node.parents, net.parent_sizes(node)):
+                col = col * size + out[row_of[p]]
+            cum = cum[:, col]  # shape (d - 1, n)
+        out[j] = (rng.random(n) >= cum).sum(axis=0)
+    return order, out.T
+
+
+def _csv_cells(texts: Iterable[str]) -> list[str]:
+    """Each text as csv.writer writes it as a cell of a row. A row of one
+    empty cell would differ, but no printed term is empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text,))
+        cells.append(buf.getvalue()[:-1])
+    return cells
 
 
 def sample_csv(net: ConstraintNetwork, n: int, seed: int) -> str:
     """CSV with one column per node (printed labels, topological order)."""
     order, rows = sample(net, n, seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(term_to_text(net.nodes[nid].label) for nid in order)
-    # each domain value is printed once; the sampled indices pick the texts
+    nodes = [net.nodes[nid] for nid in order]
+    # each label and domain value is printed and quoted once; the sampled
+    # indices pick the cells
     columns = [
-        np.array([term_to_text(v) for v in net.nodes[nid].domain], dtype=object)[rows[:, j]].tolist()
-        for j, nid in enumerate(order)
+        np.array(_csv_cells(map(term_to_text, node.domain)), dtype=object)[idx].tolist()
+        for node, idx in zip(nodes, rows.T)
     ]
-    writer.writerows(zip(*columns) if columns else [()] * n)
-    return buf.getvalue()
+    header = ",".join(_csv_cells(term_to_text(node.label) for node in nodes))
+    lines = [header, *map(",".join, zip(*columns))] if columns else [""] * (n + 1)
+    return "\n".join(lines) + "\n"
 
 
 # --- grounding ----------------------------------------------------------------

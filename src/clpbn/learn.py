@@ -14,6 +14,13 @@ Clauses outside the fragment (computed tables, aggregation, arithmetic)
 are left untouched by fitting and ignored by scoring. A ``SampleSet`` is
 encoded once, when it is built, and every count reads that encoding.
 
+Counting reads a plan built once per program object: its structural
+grounding, its network, and each instance's column label and domain texts,
+printed once. A call with the same program only looks up the columns and
+makes one ``np.bincount`` per clause; a population merges into a new
+program, so it is grounded again on every call. A fitted program is built
+from the program's own items, not printed and parsed again.
+
 The structural grounder runs on the engine's term layer: a clause body is
 joined depth first on one ``terms.Subst``, bound by ``terms.unify`` and
 taken back with ``mark``/``undo`` between alternatives; a called clause is
@@ -26,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional
 
@@ -38,7 +46,6 @@ from .program import (
     Clause,
     Program,
     cpt_spec_from_term,
-    parse_program,
     with_population,
 )
 from .terms import (
@@ -49,6 +56,7 @@ from .terms import (
     Term,
     Var,
     is_ground,
+    list_items,
     mklist,
     rename_term,
     unify,
@@ -480,6 +488,58 @@ def _network(
 # --- counting -----------------------------------------------------------------
 
 
+@dataclass
+class _ClausePlan:
+    fc: _FieldClause
+    psizes: list[int]  # parent domain sizes, CPT order
+    # per instance: (label text, domain texts) of the child, then its parents
+    cells: list[list[tuple[str, tuple[str, ...]]]]
+
+
+@dataclass
+class _CountPlan:
+    """What counting needs of one program, whatever the samples."""
+
+    insts: dict[tuple[str, int], list[_Instance]]
+    net: ConstraintNetwork
+    ids: dict[str, int]  # node id by label text
+    clauses: dict[tuple[str, int], _ClausePlan]  # defining clauses with instances
+
+
+_plans: "weakref.WeakKeyDictionary[Program, _CountPlan]" = weakref.WeakKeyDictionary()
+
+
+def _count_plan(program: Program, population: Iterable[Term]) -> _CountPlan:
+    """The plan of the program with the population merged in, built once
+    per merged program object."""
+    prog = with_population(program, population)
+    plan = _plans.get(prog)
+    if plan is not None:
+        return plan
+    insts, analysis = structural_instances(prog)
+    net, ids = _network(prog, insts, analysis)
+    domains: dict[int, tuple[str, ...]] = {}
+
+    def cell(label: str) -> tuple[str, tuple[str, ...]]:
+        nid = ids[label]
+        if nid not in domains:
+            domains[nid] = tuple(map(term_to_text, net.nodes[nid].domain))
+        return label, domains[nid]
+
+    clauses = {}
+    for key, fc in analysis.fields.items():
+        if not insts[key]:
+            continue
+        cells = [
+            [cell(term_to_text(inst.label))] + [cell(term_to_text(p)) for p in inst.parents]
+            for inst in insts[key]
+        ]
+        psizes = [len(texts) for _, texts in cells[0][1:]]
+        clauses[key] = _ClausePlan(fc, psizes, cells)
+    plan = _plans[prog] = _CountPlan(insts, net, ids, clauses)
+    return plan
+
+
 def _count_tables(
     program: Program,
     population: Iterable[Term],
@@ -488,15 +548,13 @@ def _count_tables(
     """Per defining clause: pooled (d x cols) counts over all instances.
 
     Returns counts, the clause record, and the parent domain sizes."""
-    insts, analysis = structural_instances(program, population)
-    net, ids = _network(program, insts, analysis)
+    plan = _count_plan(program, population)
     # one parent column serves many instances: index each column once
     indexed: dict[tuple[str, tuple[str, ...]], tuple[np.ndarray, bool]] = {}
 
-    def domain_indices(label: str, domain: tuple[Term, ...]) -> tuple[np.ndarray, bool]:
+    def domain_indices(label: str, texts: tuple[str, ...]) -> tuple[np.ndarray, bool]:
         """Domain index of each cell of label's column, -1 outside the
         domain, and whether every cell is inside."""
-        texts = tuple(map(term_to_text, domain))
         if (label, texts) not in indexed:
             j = samples.column(label)
             pos = {t: i for i, t in enumerate(texts)}
@@ -505,34 +563,24 @@ def _count_tables(
         return indexed[label, texts]
 
     out: dict[tuple[str, int], tuple[np.ndarray, _FieldClause, list[int]]] = {}
-    for key, fc in analysis.fields.items():
-        if not insts[key]:
-            continue
-        first = insts[key][0]
-        psizes = [
-            len(net.nodes[ids[term_to_text(p)]].domain) for p in first.parents
-        ]
+    for key, cp in plan.clauses.items():
         flats = []
-        for inst in insts[key]:
-            label = term_to_text(inst.label)
-            cells = [(label, *domain_indices(label, fc.domain))] + [
-                (p, *domain_indices(p, net.nodes[ids[p]].domain))
-                for p in map(term_to_text, inst.parents)
-            ]
-            if not all(inside for _, _, inside in cells):
+        for cells in cp.cells:
+            found = [domain_indices(*c) for c in cells]
+            if not all(inside for _, inside in found):
                 # the first bad row; in it, the child before its parents
-                i = int(np.any([idx < 0 for _, idx, _ in cells], axis=0).argmax())
-                k = next(k for k, (_, idx, _) in enumerate(cells) if idx[i] < 0)
+                i = int(np.any([idx < 0 for idx, _ in found], axis=0).argmax())
+                k = next(k for k, (idx, _) in enumerate(found) if idx[i] < 0)
                 value = samples.rows[i][samples.column(cells[k][0])]
                 where = "the domain" if k == 0 else "a parent domain"
-                raise LearnError(f"value {value!r} is outside {where} of {label}")
-            flat = cells[0][1]  # row-major (value, parent 1, ..., parent k)
-            for (_, idx, _), size in zip(cells[1:], psizes):
+                raise LearnError(f"value {value!r} is outside {where} of {cells[0][0]}")
+            flat = found[0][0]  # row-major (value, parent 1, ..., parent k)
+            for (idx, _), size in zip(found[1:], cp.psizes):
                 flat = flat * size + idx
             flats.append(flat)
-        shape = (len(fc.domain), math.prod(psizes))
+        shape = (len(cp.fc.domain), math.prod(cp.psizes))
         counts = np.bincount(np.concatenate(flats), minlength=math.prod(shape))
-        out[key] = (counts.reshape(shape).astype(float), fc, psizes)
+        out[key] = (counts.reshape(shape).astype(float), cp.fc, cp.psizes)
     return out
 
 
@@ -540,35 +588,35 @@ def _count_tables(
 
 
 def _literal_cpt(
-    fc: _FieldClause, table: Iterable[float], parents: Iterable[Term]
+    program: Program, fc: _FieldClause, table: Iterable[float], drop: Optional[int] = None
 ) -> Struct:
-    return Struct(
-        "p",
-        (
-            mklist(list(fc.domain)),
-            mklist([float(x) for x in table]),
-            mklist(list(parents)),
-        ),
-    )
+    """A literal table for clause fc with the given entries, without the
+    parent at position drop. The domain and parents are taken from the
+    program's own clause: with a population, fc belongs to a merged copy
+    of the program, whose variables are not the program's."""
+    domain, _table, parents = program.clauses[fc.clause_index].constraints[0].cpt.args
+    kept = [p for j, p in enumerate(list_items(parents)) if j != drop]
+    return Struct("p", (domain, mklist([float(x) for x in table]), mklist(kept)))
 
 
 def _rewrite_tables(program: Program, cpts: dict[int, Struct]) -> Program:
     """The program with the literal table of clause i replaced by cpts[i],
-    rewritten in one pass over the items and parsed once."""
+    built from the program's own items in one pass, without printing them."""
     clause_no = {id(c): i for i, c in enumerate(program.clauses)}
-    lines = []
+    items = []
     for item in program.items:
         cpt = cpts.get(clause_no.get(id(item)))
         if cpt is not None:
-            con = item.constraints[0]
+            con = replace(item.constraints[0], cpt=cpt)
             eq = Struct("=", (con.var, con.skolem))
             braces = Struct("{}", (Struct("with", (eq, cpt)),))
             item = replace(
                 item,
                 body=tuple(braces if _is_braces(g) else g for g in item.body),
+                constraints=(con,),
             )
-        lines.append(item.to_text())
-    return parse_program("\n".join(lines) + "\n")
+        items.append(item)
+    return Program(items)
 
 
 def fit_cpts(
@@ -598,7 +646,7 @@ def fit_cpts(
                 "a parent configuration never occurs in the samples; "
                 "fit with a smoothing constant above 0"
             )
-        cpts[fc.clause_index] = _literal_cpt(fc, smoothed.ravel(), fc.parent_vars)
+        cpts[fc.clause_index] = _literal_cpt(program, fc, smoothed.ravel())
     return _rewrite_tables(program, cpts)
 
 
@@ -734,17 +782,9 @@ def _delete_parent(
 ) -> Program:
     """Remove one CPT parent from a defining clause, averaging the table
     over the removed axis."""
-    d = len(fc.domain)
-    vals = np.asarray(fc.table, dtype=float).reshape(d, *psizes)
-    vals = vals.mean(axis=1 + position)
-    cols = 1
-    for j, s in enumerate(psizes):
-        if j != position:
-            cols *= s
-    new_parents = [
-        p for j, p in enumerate(fc.parent_vars) if j != position
-    ]
-    cpt = _literal_cpt(fc, vals.reshape(d, cols).ravel(), new_parents)
+    vals = np.asarray(fc.table, dtype=float).reshape(len(fc.domain), *psizes)
+    table = vals.mean(axis=1 + position).ravel()
+    cpt = _literal_cpt(program, fc, table, drop=position)
     return _rewrite_tables(program, {fc.clause_index: cpt})
 
 
@@ -764,34 +804,25 @@ def remove_cycles(
         raise LearnError("remove_cycles needs a sample set")
     current = program
     while True:
-        insts, analysis = structural_instances(current, population)
-        net, label_node = _network(current, insts, analysis)
-        ok, _cycle = net.check_acyclic()
+        plan = _count_plan(current, population)
+        ok, _cycle = plan.net.check_acyclic()
         if ok:
             return current
-        bad = _cycle_edges(net)
+        bad = _cycle_edges(plan.net)
         candidates = []
-        for key, fc in analysis.fields.items():
-            if not insts[key] or not fc.parent_vars:
-                continue
-            first = insts[key][0]
-            psizes = [
-                len(net.nodes[label_node[term_to_text(p)]].domain)
-                for p in first.parents
-            ]
-            for j in range(len(fc.parent_vars)):
+        for key, cp in plan.clauses.items():
+            for j in range(len(cp.psizes)):
                 removed = {
-                    (label_node[term_to_text(inst.parents[j])],
-                     label_node[term_to_text(inst.label)])
-                    for inst in insts[key]
+                    (plan.ids[cells[1 + j][0]], plan.ids[cells[0][0]])
+                    for cells in cp.cells
                 }
                 if not (removed & bad):
                     continue
-                trial = _delete_parent(current, fc, j, psizes)
+                trial = _delete_parent(current, cp.fc, j, cp.psizes)
                 score = bic_score(trial, population, samples)
-                parent_functor = _parent_functor_name(first.parents[j])
+                parent_functor = _parent_functor_name(plan.insts[key][0].parents[j])
                 candidates.append(
-                    (-score, parent_functor, fc.clause_index, j, trial)
+                    (-score, parent_functor, cp.fc.clause_index, j, trial)
                 )
         if not candidates:
             raise LearnError(

@@ -262,7 +262,11 @@ class _Reader:
             return None
         self.varmap = {}
         start = self.peek()
-        term = self.read_term(1200)
+        try:
+            term = self.read_term(1200)
+        except RecursionError:
+            # the reader recurses once per level of nesting
+            raise ClpbnSyntaxError("term nested too deeply", start.line, start.col) from None
         t = self.next()
         if t.kind != "end":
             raise ClpbnSyntaxError(

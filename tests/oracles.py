@@ -42,6 +42,11 @@ index replaced; `ConstraintNetwork.find_by_label` must return the same id.
 walks; the explicit-stack versions in `clpbn.terms` must give equal results
 (for the sort key, the same order of every pair of terms).
 
+`sample_reference` is ancestral sampling over an (n x k) array that
+compares each draw with every cumulative row and clips the count to the
+domain; `inference.sample` must draw the same values bit for bit, and
+`inference.sample_csv` must equal csv.writer over the reference rows.
+
 `hmm_chain_forward` is the posterior of `c(n)` in `hmm_fixed.clpbn` by a
 forward recursion over the four (c, p) states; it never builds a network,
 so it checks chains far longer than joint enumeration can.
@@ -65,6 +70,7 @@ from clpbn.inference import (
     Marginal,
     NodeRef,
     _clamped_factors,
+    _cpt_factor,
     marginal,
     node_factor,
     resolve_node,
@@ -459,6 +465,30 @@ def structural_instances_naive(program: Program, population: Iterable[Term] = ()
             if len(demands) != before:
                 changed = True
     return insts, analysis
+
+
+def sample_reference(net: ConstraintNetwork, n: int, seed: int) -> tuple[list[int], np.ndarray]:
+    """(node ids in topological order, n-by-k domain indices), one column
+    of an (n x k) array per node, each draw compared with all d cumulative
+    rows."""
+    order = net.topological_order()
+    rng = np.random.default_rng(seed)
+    col_of = {nid: j for j, nid in enumerate(order)}
+    out = np.zeros((n, len(order)), dtype=np.int64)
+    for j, nid in enumerate(order):
+        node = net.nodes[nid]
+        if node.evidence is not None:
+            out[:, j] = node.evidence
+            continue
+        d = node.cardinality
+        cum = np.cumsum(_cpt_factor(net, nid).values.reshape(d, -1), axis=0)
+        col = np.zeros(n, dtype=np.int64)
+        for p, size in zip(node.parents, net.parent_sizes(node)):
+            col = col * size + out[:, col_of[p]]
+        cum = cum[:, col]  # shape (d, n)
+        draws = rng.random(n)
+        out[:, j] = np.minimum((draws[None, :] >= cum).sum(axis=0), d - 1)
+    return order, out
 
 
 def hmm_chain_forward(n: int, evidence: dict[int, str] | None = None) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import clpbn
 from clpbn import cli, inference
@@ -538,8 +538,21 @@ def _large_input(draw):
     return text, argv
 
 
+# terms nested deeper than the reader's recursion goes: syntax errors
+DEEP_READS = [
+    ("a(" + "f(" * 700 + "x" + ")" * 700 + ").\n", ["check"]),
+    ("a(" + "[" * 700 + "]" * 700 + ").\n", ["check"]),
+    ("f(1).\n", ["query", "-q", "X = " + "(" * 700 + "1" + ")" * 700 + "."]),
+    ("f(1).\n", ["query", "-q", "X = " + "-" * 3000 + "1."]),
+]
+
+
 @settings(max_examples=15, deadline=None)
 @given(_large_input())
+@example(DEEP_READS[0])
+@example(DEEP_READS[1])
+@example(DEEP_READS[2])
+@example(DEEP_READS[3])
 def test_large_inputs_keep_the_exit_code_contract(case):
     text, argv = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -549,6 +562,15 @@ def test_large_inputs_keep_the_exit_code_contract(case):
         code, _, err = _main_captured([argv[0], prog] + argv[1:])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", DEEP_READS, ids=["compound", "list", "parens", "minus"])
+def test_deep_reads_are_syntax_errors(tmp_path, case):
+    text, argv = case
+    prog = tmp_path / "p.clpbn"
+    prog.write_text(text)
+    code, out, err = _main_captured([argv[0], str(prog)] + argv[1:])
+    assert (code, out, err) == (2, "", "error: line 1:1: term nested too deeply\n")
 
 
 # A term nested once per resolution step: printing the answer, or

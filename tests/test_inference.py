@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from oracles import (
     joint_marginal,
     min_degree_order_rescan,
     run_elimination_scan,
+    sample_reference,
     uncached_factor,
 )
 
@@ -543,6 +546,59 @@ def test_sample_frequencies_match_prior():
     _, draws = inference.sample(net, 20000, seed=5)
     freq = float((draws[:, 0] == 0).mean())
     assert abs(freq - 0.25) < 0.01
+
+
+def _reference_csv(net, n, seed):
+    order, rows = sample_reference(net, n, seed)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(term_to_text(net.nodes[nid].label) for nid in order)
+    writer.writerows(
+        [term_to_text(net.nodes[nid].domain[v]) for nid, v in zip(order, row)] for row in rows
+    )
+    return buf.getvalue()
+
+
+def test_sample_matches_reference_on_random_nets():
+    rng = np.random.default_rng(23)
+    seen = {"evidence": 0, "multi-parent": 0, "domain 11": 0, "domain 1": 0}
+    for trial in range(60):
+        net = random_net(rng, max_nodes=10, max_domain=11, max_evidence=3)
+        if trial % 3 == 0:
+            # a one-value node under a root: its draws are never compared
+            root = net.nodes[0].cardinality
+            add_node(net, Struct("n", (len(net),)), [Atom("only")], [1.0] * root, parents=[0])
+        seen["evidence"] += any(node.evidence is not None for node in net.nodes.values())
+        seen["multi-parent"] += any(len(node.parents) > 1 for node in net.nodes.values())
+        seen["domain 11"] += any(node.cardinality == 11 for node in net.nodes.values())
+        seen["domain 1"] += any(node.cardinality == 1 for node in net.nodes.values())
+        for n in (0, 1, 2000):
+            seed = int(rng.integers(2**32))
+            order, rows = inference.sample(net, n, seed)
+            want_order, want = sample_reference(net, n, seed)
+            assert order == want_order
+            assert rows.shape == want.shape == (n, len(net))
+            assert np.array_equal(rows, want)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_sample_csv_matches_csv_writer_over_reference():
+    net = ConstraintNetwork(skolem_functors=[("n", 1), ("m", 2)])
+    odd = [Atom("a,b"), Atom('q"r'), Atom(" u"), Atom("plain")]
+    a = add_node(net, Struct("n", (Atom("a,b"),)), odd, [0.1, 0.2, 0.3, 0.4])
+    b = add_node(net, Struct("m", (1, Atom('q"r'))), [0, 2.5], [0.3, 0.6, 0.2, 0.7, 0.5, 0.5, 0.9, 0.1], [a])
+    add_node(net, Atom(" u"), [Atom("x y"), Atom("z\nw")], [0.5] * 4, [b])
+    for n in (0, 1, 500):
+        assert inference.sample_csv(net, n, 4) == _reference_csv(net, n, 4)
+    assert '"n(\'a,b\')"' in inference.sample_csv(net, 1, 4)
+    observed = net.set_evidence(a, Atom('q"r'))
+    assert inference.sample_csv(observed, 50, 6) == _reference_csv(observed, 50, 6)
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        net = random_net(rng, max_domain=11)
+        assert inference.sample_csv(net, 300, 8) == _reference_csv(net, 300, 8)
+    empty = ConstraintNetwork()
+    assert inference.sample_csv(empty, 3, 1) == _reference_csv(empty, 3, 1) == "\n" * 4
 
 
 # --- grounding --------------------------------------------------------------------

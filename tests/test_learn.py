@@ -47,6 +47,16 @@ src(X) :- {X = s(0) with p([t,f],[0.5,0.5],[])}.
 dst(E, Y) :- e(E), src(X), {Y = d(E) with p([t,f],[1.0,0.0,0.0,1.0],[X])}.
 """
 
+# a and b list each other and a shared root c as parents
+CYCLIC_WITH_ROOT = """
+ent(e1).
+c(E, Z) :- ent(E), {Z = cv(E) with p([t,f],[0.5,0.5],[])}.
+a(E, X) :- ent(E), b(E, Y), c(E, Z),
+  {X = av(E) with p([t,f],[0.6,0.3,0.5,0.5,0.4,0.7,0.5,0.5],[Y, Z])}.
+b(E, Y) :- ent(E), a(E, X), c(E, Z),
+  {Y = bv(E) with p([t,f],[0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5],[X, Z])}.
+"""
+
 SPURIOUS_PARENT = """
 e(1).
 x(X) :- {X = vx(0) with p([t,f],[0.5,0.5],[])}.
@@ -202,12 +212,14 @@ def test_learning_calls_ground_and_parse_once(monkeypatch, school, school_sample
 
     grounds, parses = [], []
     _count_calls(monkeypatch, grounds, learn, "structural_instances")
-    _count_calls(monkeypatch, parses, learn, "parse_program")
     _count_calls(monkeypatch, parses, program, "parse_program")
-    fit_cpts(school, samples=school_samples)
-    assert (len(grounds), len(parses)) == (1, 1)
-    bic_score(school, samples=school_samples)
-    assert (len(grounds), len(parses)) == (2, 1)
+    # a program object of its own, so no earlier test has planned it
+    fresh = program.Program(school.items)
+    fit_cpts(fresh, samples=school_samples)
+    assert (len(grounds), len(parses)) == (1, 0)
+    bic_score(fresh, samples=school_samples)
+    fit_cpts(fresh, samples=school_samples, alpha=2.0)
+    assert (len(grounds), len(parses)) == (1, 0)
     # a population costs one merge per call, shared by grounding and counting
     pop = [parse_term("reg(r4, c2, ann)")]
     samples = SampleSet.from_csv(
@@ -217,9 +229,9 @@ def test_learning_calls_ground_and_parse_once(monkeypatch, school, school_sample
     )
     del grounds[:], parses[:]
     fit_cpts(school, pop, samples)
-    assert (len(grounds), len(parses)) == (1, 2)
+    assert (len(grounds), len(parses)) == (1, 1)
     bic_score(school, pop, samples)
-    assert (len(grounds), len(parses)) == (2, 3)
+    assert (len(grounds), len(parses)) == (2, 2)
 
 
 def _counts_or_error(count, program, samples):
@@ -475,6 +487,61 @@ def test_fit_l1_shrinks_with_more_data(school):
     assert np.median(large) <= np.median(small)
 
 
+def _cpt_parents_in_body(program) -> int:
+    """How many parents the literal tables of the program have; each must
+    be the very object of a variable in a non-constraint goal of its
+    clause's body."""
+    from clpbn.terms import Struct, list_items, vars_of
+
+    count = 0
+    for clause in program.clauses:
+        goals = [g for g in clause.body if not (isinstance(g, Struct) and g.functor == "{}")]
+        body = [v for g in goals for v in vars_of(g)]
+        for con in clause.constraints:
+            if not isinstance(con.cpt, Struct):
+                continue  # a computed table
+            for parent in list_items(con.cpt.args[2]):
+                assert any(parent is v for v in body), term_to_text(parent)
+                count += 1
+    return count
+
+
+def test_plan_follows_each_sample_set(school):
+    program = parse_program(school.to_text())
+    net = inference.ground_program(school, drivers=SCHOOL_DRIVERS)
+    good = [SampleSet.from_csv(inference.sample_csv(net, n, seed)) for seed, n in ((1, 300), (2, 40), (3, 900))]
+    missing = SampleSet(good[0].columns[1:], [r[1:] for r in good[0].rows])
+
+    def outcome(learn, program, samples):
+        try:
+            out = learn(program, samples=samples)
+        except LearnError as e:
+            return str(e)
+        return out.to_text() if learn is fit_cpts else out
+
+    for samples in (good[0], missing, good[1], good[2]):
+        fresh = parse_program(school.to_text())
+        for learn in (fit_cpts, bic_score):
+            assert outcome(learn, program, samples) == outcome(learn, fresh, samples)
+    assert outcome(fit_cpts, program, missing).startswith("sample set has no column")
+    fitted = fit_cpts(program, samples=good[2])
+    assert fit_cpts(fitted, samples=good[2]).to_text() == fitted.to_text()
+
+
+def test_fit_with_a_population_keeps_the_clause_variables(school):
+    from clpbn.parser import parse_term
+    from clpbn.program import with_population
+
+    pop = [parse_term("reg(r4, c2, ann)")]
+    samples = SampleSet.from_csv(
+        inference.sample_csv(inference.ground_program(school, pop, drivers=SCHOOL_DRIVERS), 200, 3)
+    )
+    fitted = fit_cpts(school, pop, samples)
+    assert _cpt_parents_in_body(fitted) >= 4
+    merged = fit_cpts(with_population(school, pop), samples=samples).to_text()
+    assert fitted.to_text() + "reg(r4, c2, ann).\n" == merged
+
+
 # --- BIC ----------------------------------------------------------------------
 
 
@@ -569,6 +636,27 @@ def test_remove_cycles_greedy_not_worse_than_random(cyclic):
         if greedy_bic >= rand_bic - 1e-9:
             wins += 1
     assert wins >= 4
+
+
+def test_remove_cycles_with_a_population_keeps_the_clause_variables():
+    from clpbn.parser import parse_term
+    from clpbn.program import with_population
+
+    program = parse_program(CYCLIC_WITH_ROOT)
+    pop = [parse_term("ent(e2)")]
+    base = _cyclic_samples(5)
+    rng = np.random.default_rng(5)
+    samples = SampleSet(
+        base.columns + ["cv(e1)", "cv(e2)"],
+        [row + [str(rng.choice(["t", "f"])) for _ in range(2)] for row in base.rows],
+    )
+    fixed = remove_cycles(program, pop, samples)
+    assert structural_ground(fixed, pop).check_acyclic()[0]
+    # one of a and b lost its cyclic parent and kept c
+    assert _cpt_parents_in_body(fixed) == _cpt_parents_in_body(program) - 1
+    merged = remove_cycles(with_population(program, pop), samples=samples)
+    assert fixed.to_text() + "ent(e2).\n" == merged.to_text()
+    assert _cpt_parents_in_body(fit_cpts(fixed, pop, samples)) == 3
 
 
 # --- structure comparison ----------------------------------------------------------
